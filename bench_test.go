@@ -216,15 +216,8 @@ func BenchmarkGateSimulation(b *testing.B) {
 // BenchmarkBitParallelCampaign measures the batched fault-campaign
 // path: one 64-lane simulator pass settles 63 SEU injections plus the
 // golden guard lane. Workers is pinned to 1 so the committed number is
-// per-core throughput, comparable against BenchmarkScalarCampaign.
-func BenchmarkBitParallelCampaign(b *testing.B) { benchCampaign(b, false) }
-
-// BenchmarkScalarCampaign is the one-run-per-fault counterpart of
-// BenchmarkBitParallelCampaign: the same 63-fault seeded SEU schedule,
-// one scalar simulation per fault on a single worker.
-func BenchmarkScalarCampaign(b *testing.B) { benchCampaign(b, true) }
-
-func benchCampaign(b *testing.B, scalar bool) {
+// per-core throughput.
+func BenchmarkBitParallelCampaign(b *testing.B) {
 	bm := bench.ByName("mult")
 	p := bm.MustProg()
 	c := cpu.Build()
@@ -233,7 +226,7 @@ func benchCampaign(b *testing.B, scalar bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := faultinject.SEUCampaign(context.Background(), c, p, w, 63,
-			faultinject.Options{Workers: 1, Seed: 9, Scalar: scalar})
+			faultinject.Options{Workers: 1, Seed: 9})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,13 +9,12 @@
 // Usage:
 //
 //	bespoke-faults [-bench all|quick|name,...] [-faults N] [-seu N] [-set N]
-//	               [-set-budget F] [-map] [-markdown] [-scalar]
+//	               [-set-budget F] [-map] [-markdown]
 //	               [-workers N] [-seed S] [-timeout D]
 //
-// Campaigns run on the bit-parallel backend by default (63 faulty worlds
-// plus a golden guard lane per simulator pass); -scalar forces the
-// one-run-per-fault engine. Either way the summary and the -markdown
-// tables report campaign throughput (injections/sec, lanes/batch).
+// Campaigns run on the bit-parallel engine (63 faulty worlds plus a
+// golden guard lane per simulator pass); the summary and the -markdown
+// tables report campaign throughput (injections/sec).
 //
 // The command exits nonzero if any claimed-constant injection diverges
 // (the activity analysis would be wrong) or if -set-budget is exceeded
@@ -46,7 +45,6 @@ func main() {
 	setBudget := flag.Float64("set-budget", 0, "tolerated visible SET fraction on the bespoke design (0 = report only, negative = zero tolerance)")
 	showMap := flag.Bool("map", false, "print the per-module SET vulnerability maps")
 	markdown := flag.Bool("markdown", false, "render tables as markdown (for the experiment docs)")
-	scalar := flag.Bool("scalar", false, "force the scalar one-run-per-fault backend instead of 64-lane batches")
 	workers := flag.Int("workers", 0, "worker pool width (0 = GOMAXPROCS)")
 	seed := flag.Uint64("seed", 1, "campaign sampling seed")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for all campaigns (0 = unlimited)")
@@ -64,7 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := campaignConfig{
-		opts:      faultinject.Options{Workers: *workers, MaxFaults: *faults, Seed: *seed, Scalar: *scalar},
+		opts:      faultinject.Options{Workers: *workers, MaxFaults: *faults, Seed: *seed},
 		seus:      *seus,
 		sets:      *sets,
 		setBudget: *setBudget,
@@ -126,7 +124,7 @@ func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error
 	modT := report.NewTable("SET per-module vulnerability map",
 		"Bench", "Design", "Module", "Sites", "Injected", "Masked", "Latched", "Visible")
 	thrT := report.NewTable("Campaign throughput",
-		"Bench", "Injections", "Sim passes", "Lanes/batch", "Elapsed", "Inj/s")
+		"Bench", "Injections", "Sim passes", "Elapsed", "Inj/s")
 	var total throughput
 	bad := 0
 	var violations []string
@@ -208,7 +206,7 @@ func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error
 		thr.add(claimed, opposite, seuBase, seuBesp)
 		total.add(claimed, opposite, seuBase, seuBesp)
 		thrT.AddRow(b.Name, fmt.Sprint(thr.injections), fmt.Sprint(thr.batches),
-			fmt.Sprint(thr.lanes), fmt.Sprintf("%.2fs", thr.elapsed.Seconds()), thr.rate())
+			fmt.Sprintf("%.2fs", thr.elapsed.Seconds()), thr.rate())
 
 		if rep != nil {
 			setT.AddRow(b.Name,
@@ -236,12 +234,8 @@ func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error
 		render(modT)
 	}
 	render(thrT)
-	backend := "bit-parallel"
-	if cfg.opts.Scalar {
-		backend = "scalar"
-	}
-	fmt.Printf("\n%s backend: %d injections across %d simulator passes (%d lanes/batch) in %.2fs — %s injections/sec\n",
-		backend, total.injections, total.batches, total.lanes, total.elapsed.Seconds(), total.rate())
+	fmt.Printf("\n%d injections across %d simulator passes in %.2fs — %s injections/sec\n",
+		total.injections, total.batches, total.elapsed.Seconds(), total.rate())
 	if bad > 0 {
 		return fmt.Errorf("%d benchmark(s) had claimed-constant divergence: the analysis is unsound", bad)
 	}
@@ -267,7 +261,6 @@ func addModuleRows(t *report.Table, benchName, design string, mods []core.Module
 type throughput struct {
 	injections int
 	batches    int
-	lanes      int
 	elapsed    time.Duration
 }
 
@@ -275,9 +268,6 @@ func (t *throughput) add(reps ...*faultinject.Report) {
 	for _, r := range reps {
 		t.injections += r.Injected
 		t.batches += r.Batches
-		if r.LanesPerBatch > t.lanes {
-			t.lanes = r.LanesPerBatch
-		}
 		t.elapsed += r.Elapsed
 	}
 }

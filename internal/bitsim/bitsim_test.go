@@ -346,3 +346,20 @@ func TestInjectPulseLaneMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockReadPathCycleDetected closes a combinational loop through a
+// block's read path, as sim's test of the same name does: the ROM's data
+// output drives its own address.
+func TestBlockReadPathCycleDetected(t *testing.T) {
+	n := netlist.New()
+	rdata := n.Add(netlist.Gate{Kind: netlist.Input, Name: "rdata"})
+	addr := n.Add(netlist.Gate{Kind: netlist.Not, In: [3]netlist.GateID{rdata, netlist.None, netlist.None}})
+	en := n.Add(netlist.Gate{Kind: netlist.Input, Name: "en"})
+	rom := NewROM(sim.NewROM([]netlist.GateID{addr}, []netlist.GateID{rdata}, en))
+	if _, err := New(n, rom); err == nil {
+		t.Fatal("cycle through the ROM read path not detected")
+	}
+	if _, err := New(n); err != nil {
+		t.Fatalf("the same netlist without the block: %v", err)
+	}
+}

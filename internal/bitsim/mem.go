@@ -13,6 +13,7 @@ package bitsim
 import (
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
+	"bespoke/internal/sim"
 )
 
 // uniformKnown reports whether every lane of w holds the same known
@@ -380,40 +381,15 @@ func (r *RAM) Clock(s *Sim) {
 		}
 	}
 
-	// Per-lane slow path.
+	// Per-lane slow path: the scalar RAM's write rule, one lane at a time.
 	for l := 0; l < Lanes; l++ {
-		wlL, whL := wl.Lane(l), wh.Lane(l)
-		if wlL == logic.Zero && whL == logic.Zero {
+		wlL, whL, enL := wl.Lane(l), wh.Lane(l), en.Lane(l)
+		if (wlL == logic.Zero && whL == logic.Zero) || enL == logic.Zero {
 			continue
 		}
-		enL := en.Lane(l)
-		if enL == logic.Zero {
-			continue
-		}
-		data := laneWord(r.din, l)
-		a := laneWord(r.ain, l)
-		write := func(old logic.Word) logic.Word {
-			nw := old
-			if wlL != logic.Zero {
-				nw = mergeLane(nw, data, 0, wlL == logic.One && enL == logic.One)
-			}
-			if whL != logic.Zero {
-				nw = mergeLane(nw, data, 8, whL == logic.One && enL == logic.One)
-			}
-			return nw
-		}
-		if a.Known() {
-			r.setLane(a.Val, l, write(r.LaneWord(l, a.Val)))
-			continue
-		}
-		// Unknown address: merge into every word the partially-known
-		// address could reach, exactly like the scalar RAM.
-		for i := range r.words {
-			if (a.Val^uint16(i))&^a.Mask == 0 {
-				old := r.LaneWord(l, uint16(i))
-				r.setLane(uint16(i), l, old.Merge(write(old)))
-			}
-		}
+		sim.ConservativeWrite(len(r.words), laneWord(r.ain, l), laneWord(r.din, l), wlL, whL, enL,
+			func(i uint16) logic.Word { return r.LaneWord(l, i) },
+			func(i uint16, w logic.Word) { r.setLane(i, l, w) })
 	}
 }
 
@@ -421,21 +397,6 @@ func (r *RAM) setLane(i uint16, l int, w logic.Word) {
 	for b := 0; b < 16; b++ {
 		r.words[i][b] = r.words[i][b].SetLane(l, w.Bit(uint(b)))
 	}
-}
-
-// mergeLane writes one byte lane of data into w; a possible write merges
-// conservatively (same helper as the scalar RAM).
-func mergeLane(w, data logic.Word, shift uint, definite bool) logic.Word {
-	for i := uint(0); i < 8; i++ {
-		bit := shift + i
-		v := data.Bit(bit)
-		if definite {
-			w = w.SetBit(bit, v)
-		} else {
-			w = w.SetBit(bit, logic.Merge(w.Bit(bit), v))
-		}
-	}
-	return w
 }
 
 // Reset implements Block: all words become X in every lane.

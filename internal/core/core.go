@@ -246,9 +246,8 @@ func keepAlive(core *cpu.Core) []netlist.GateID {
 	return keep
 }
 
-// measure runs signoff for one design point.
-func measure(ctx context.Context, core *cpu.Core, prog *asm.Program, w *Workload, lib *cells.Library, clockPs float64) (Metrics, *RunTrace, error) {
-	place := layout.Place(core.N, lib)
+// measure runs signoff for one design point on its placement.
+func measure(ctx context.Context, core *cpu.Core, place *layout.Result, prog *asm.Program, w *Workload, lib *cells.Library, clockPs float64) (Metrics, *RunTrace, error) {
 	timing, err := sta.Analyze(core.N, lib, place, clockPs, blockPaths(core))
 	if err != nil {
 		return Metrics{}, nil, err
@@ -324,18 +323,19 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	}
 
 	// Baseline signoff. The clock is set so the baseline just meets
-	// timing unless overridden.
+	// timing unless overridden. Each design is placed once: placement is
+	// deterministic and nothing edits either netlist after it.
 	stage = "baseline-signoff"
+	basePlace := layout.Place(baseline.N, lib)
 	clockPs := opts.ClockPs
 	if clockPs == 0 {
-		place := layout.Place(baseline.N, lib)
-		t, err := sta.Analyze(baseline.N, lib, place, 0, blockPaths(baseline))
+		t, err := sta.Analyze(baseline.N, lib, basePlace, 0, blockPaths(baseline))
 		if err != nil {
 			return nil, stageErr(stage, netlist.None, err)
 		}
 		clockPs = t.CriticalPs * 1.02
 	}
-	baseMet, _, err := measure(ctx, baseline, progs[0], wsAt(ws, 0), lib, clockPs)
+	baseMet, _, err := measure(ctx, baseline, basePlace, progs[0], wsAt(ws, 0), lib, clockPs)
 	if err != nil {
 		return nil, stageErr(stage, netlist.None, fmt.Errorf("baseline workload: %w", err))
 	}
@@ -392,7 +392,8 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	}
 
 	stage = "bespoke-signoff"
-	besMet, besTrace, err := measure(ctx, bespoke, progs[0], wsAt(ws, 0), lib, clockPs)
+	besPlace := layout.Place(bespoke.N, lib)
+	besMet, besTrace, err := measure(ctx, bespoke, besPlace, progs[0], wsAt(ws, 0), lib, clockPs)
 	if err != nil {
 		return nil, stageErr(stage, netlist.None, fmt.Errorf("bespoke workload: %w", err))
 	}
@@ -417,8 +418,7 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 
 	// Exploit exposed slack: rerun power at Vmin.
 	stage = "vmin"
-	place := layout.Place(bespoke.N, lib)
-	pwVmin := power.Analyze(bespoke.N, lib, place, besTrace.Toggles, besTrace.Cycles, clockHz, besMet.Timing.Vmin)
+	pwVmin := power.Analyze(bespoke.N, lib, besPlace, besTrace.Toggles, besTrace.Cycles, clockHz, besMet.Timing.Vmin)
 
 	res = &Result{
 		Baseline:      baseMet,

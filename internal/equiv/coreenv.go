@@ -20,27 +20,18 @@ func NewCoreEnv(c *cpu.Core, res *symexec.Result) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	rom, ram := CoreMemSpecs(c)
+	return &Env{N: c.N, Claims: claims, ROM: rom, RAM: ram, Domains: res.BusDomains}, nil
+}
+
+// CoreMemSpecs builds the memory macro specs of a loaded core: the ROM
+// read function over the core's program image and the RAM pin binding.
+// The proof environment and the induction spec both encode them.
+func CoreMemSpecs(c *cpu.Core) (*ROMSpec, *RAMSpec) {
 	romAddr, romData, romEn := c.ROM.Pins()
 	ramAddr, ramWData, ramData, ramEn, ramWLo, ramWHi := c.RAM.Pins()
-	return &Env{
-		N:      c.N,
-		Claims: claims,
-		ROM: &ROMSpec{
-			Addr:  romAddr,
-			Data:  romData,
-			En:    romEn,
-			Words: c.ROM.Words(),
-		},
-		RAM: &RAMSpec{
-			Addr:  ramAddr,
-			WData: ramWData,
-			Data:  ramData,
-			En:    ramEn,
-			WEnLo: ramWLo,
-			WEnHi: ramWHi,
-		},
-		Domains: res.BusDomains,
-	}, nil
+	return &ROMSpec{Addr: romAddr, Data: romData, En: romEn, Words: c.ROM.Words()},
+		&RAMSpec{Addr: ramAddr, WData: ramWData, Data: ramData, En: ramEn, WEnLo: ramWLo, WEnHi: ramWHi}
 }
 
 // Divergence is the outcome of replaying a counterexample on the real

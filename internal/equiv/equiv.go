@@ -174,7 +174,8 @@ type Report struct {
 	Refuted          int
 	// SATQueries counts individual Solve calls dispatched.
 	SATQueries int64
-	// Conflicts aggregates solver conflicts across all workers.
+	// Conflicts totals the solver conflicts of the per-claim queries
+	// across all workers.
 	Conflicts int64
 }
 
@@ -403,6 +404,7 @@ func ProveClaims(ctx context.Context, env *Env, opts Options) (*Report, error) {
 		rep.Results[residue[qi]].Used = o.used
 		rep.Results[residue[qi]].K = o.k
 		rep.SATQueries += o.queries
+		rep.Conflicts += o.conflicts
 	}
 
 	// Phase 4: claims the frame queries exhausted their budget on (or
@@ -606,6 +608,9 @@ type outcome struct {
 	used    []int32
 	k       int
 	queries int64
+	// conflicts is the worker solver's conflict count spent on this
+	// claim's queries.
+	conflicts int64
 }
 
 // prover is one worker's solver instance for phase-3 queries.
@@ -687,7 +692,9 @@ func (p *prover) provenance() (used []int32, k int) {
 }
 
 // decide runs the violation/support query pair for claim index ci.
-func (p *prover) decide(ctx context.Context, ci int) (outcome, error) {
+func (p *prover) decide(ctx context.Context, ci int) (o outcome, err error) {
+	start := p.s.Stats().Conflicts
+	defer func() { o.conflicts = p.s.Stats().Conflicts - start }()
 	c := p.env.Claims[ci]
 	t := targetNet(p.env.N, c)
 	base := make([]sat.Lit, 0, len(p.invSel)+len(p.combIdx)+1)

@@ -53,6 +53,9 @@ func TestProveBenchmarkClaims(t *testing.T) {
 				name, len(rep.Results), time.Since(start).Round(time.Millisecond),
 				rep.ProvedStructural, rep.ProvedSAT, rep.Assumed, rep.Refuted,
 				rep.SATQueries, rep.Conflicts)
+			if rep.Conflicts <= 0 {
+				t.Errorf("%d SAT queries recorded %d conflicts: the per-query solver conflicts are not totalled", rep.SATQueries, rep.Conflicts)
+			}
 			if rep.Refuted != 0 {
 				for _, r := range rep.Refutations() {
 					t.Errorf("refuted honest claim: gate %d (%s) claimed %s",

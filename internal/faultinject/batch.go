@@ -1,12 +1,11 @@
-// The batched campaign backend: 63 faulty worlds plus one golden lane
-// per bitsim instance. Lane 0 always re-runs the fault-free workload and
-// must reproduce the golden reference bit-exactly — a cheap per-batch
-// guard that the bit-parallel engine agrees with the scalar one before
-// any fault outcome is trusted. Fault lanes are classified with exactly
-// the scalar injectOne rules; faults the engine cannot host in a lane
-// (an SEU aimed at a non-flip-flop, which the scalar path classifies by
-// recovering the simulation panic) fall back to the scalar path so the
-// two backends stay outcome-identical on any input.
+// The campaign engine: 63 faulty worlds plus one golden lane per bitsim
+// instance. Lane 0 always re-runs the fault-free workload and must
+// reproduce the golden reference (the ISA model's output stream,
+// cross-checked against a clean gate-level run) bit-exactly — a cheap
+// per-batch guard on the bit-parallel engine before any fault outcome is
+// trusted. Fault sites are validated up front: a stuck-at on an input or
+// constant, an SEU on anything but a flip-flop and an SET on anything but
+// a combinational gate are campaign errors.
 package faultinject
 
 import (
@@ -19,26 +18,11 @@ import (
 	"bespoke/internal/cpu"
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
-	"bespoke/internal/parallel"
 )
 
 // faultLanes is the number of faulty worlds per instance; lane 0 is the
 // golden lane.
 const faultLanes = bitsim.Lanes - 1
-
-// runCampaignBatched fans the fault list out in chunks of 63, one batch
-// per simulator instance, over the shared worker pool. Outcomes land in
-// the same per-index slice the scalar backend fills.
-func runCampaignBatched(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, g *Golden, faults []Fault, opts Options) ([]*Result, int, error) {
-	outcomes := make([]*Result, len(faults))
-	nBatch := (len(faults) + faultLanes - 1) / faultLanes
-	err := parallel.ForEach(ctx, opts.Workers, nBatch, func(bi int) error {
-		lo := bi * faultLanes
-		hi := min(lo+faultLanes, len(faults))
-		return injectBatch(ctx, c, prog, w, g, faults[lo:hi], outcomes[lo:hi], opts)
-	})
-	return outcomes, nBatch, err
-}
 
 // strike is one mid-run injection bound to its lane.
 type strike struct {
@@ -60,36 +44,29 @@ func injectBatch(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 	// Stuck-ats are validated and pinned now; SEU/SET strikes are
 	// scheduled by cycle for the hook.
 	byCycle := map[uint64][]strike{}
-	var fallback []int
-	for ci := range chunk {
-		f := chunk[ci]
+	for ci, f := range chunk {
 		lane := ci + 1
+		if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) {
+			return fmt.Errorf("faultinject: gate %d out of range", f.Gate)
+		}
+		k := c.N.Gates[f.Gate].Kind
 		switch {
 		case f.Pulse:
-			if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) {
-				return fmt.Errorf("faultinject: gate %d out of range", f.Gate)
-			}
-			if k := c.N.Gates[f.Gate].Kind; k.IsSeq() || k.NumInputs() == 0 {
+			if k.IsSeq() || k.NumInputs() == 0 {
 				return fmt.Errorf("faultinject: gate %d (%s) is not a combinational SET site", f.Gate, k)
 			}
 			byCycle[f.Cycle] = append(byCycle[f.Cycle], strike{lane, ci, f})
 		case f.Transient:
-			if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) || c.N.Gates[f.Gate].Kind != netlist.Dff {
-				// The scalar path classifies this by recovering the
-				// simulation panic; reproduce its outcome scalar-ly.
-				fallback = append(fallback, ci)
-				continue
+			if k != netlist.Dff {
+				return fmt.Errorf("faultinject: gate %d (%s) is not a flip-flop SEU site", f.Gate, k)
 			}
 			byCycle[f.Cycle] = append(byCycle[f.Cycle], strike{lane, ci, f})
 		default:
-			if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) {
-				return fmt.Errorf("faultinject: gate %d out of range", f.Gate)
-			}
-			switch k := c.N.Gates[f.Gate].Kind; k {
+			switch k {
 			case netlist.Input, netlist.Const0, netlist.Const1:
 				return fmt.Errorf("faultinject: gate %d (%s) is not a fault site", f.Gate, k)
 			}
-			v := logic.Zero // the scalar rewrite maps anything but One to Const0
+			v := logic.Zero // anything but One, stuck-at-X included, ties the gate low
 			if f.StuckAt == logic.One {
 				v = logic.One
 			}
@@ -195,19 +172,11 @@ func injectBatch(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 			default:
 				res = Result{Fault: f, Outcome: Masked}
 			}
-		default: // poisoned or over budget: the scalar run errors out
+		default: // poisoned or over budget: the run never halted
 			res = Result{Fault: f, Outcome: Hang, Detail: truncate(lane.Detail)}
 		}
 		out[ci] = &res
 	}
 
-	// Faults the batch could not host run one-at-a-time on a clone.
-	for _, ci := range fallback {
-		res, err := injectOne(ctx, c.Clone(), prog, w, g, chunk[ci], opts)
-		if err != nil {
-			return err
-		}
-		out[ci] = &res
-	}
 	return nil
 }

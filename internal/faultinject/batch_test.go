@@ -3,20 +3,167 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"bespoke/internal/asm"
+	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
+	"bespoke/internal/parallel"
 )
 
-// TestBatchedMatchesScalarOutcomes is the backend-equality oracle: a
+// scalarCampaign is the one-run-per-fault oracle the bit-parallel engine
+// is checked against: every fault runs alone on the scalar simulator
+// (internal/sim) through injectOne, each worker owning a private clone
+// of the design, and the outcomes fold into a report exactly as
+// runCampaign folds the batched ones.
+func scalarCampaign(t *testing.T, c *cpu.Core, prog *asm.Program, w *core.Workload, faults []Fault, opts Options) *Report {
+	t.Helper()
+	ctx := context.Background()
+	g, err := GoldenRun(ctx, c, prog, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes := make([]*Result, len(faults))
+	err = parallel.ForEachState(ctx, opts.Workers, len(faults),
+		func(int) *cpu.Core { return c.Clone() },
+		func(clone *cpu.Core, i int) error {
+			res, err := injectOne(ctx, clone, prog, w, g, faults[i], opts)
+			if err != nil {
+				return err
+			}
+			outcomes[i] = &res
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("scalar oracle: %v", err)
+	}
+	return fold(outcomes)
+}
+
+// injectOne runs one faulty execution on a private clone and classifies
+// it. Fault-induced failures (hangs, X-poisoned state) become divergent
+// outcomes; context errors abort the campaign.
+func injectOne(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, g *Golden, f Fault, opts Options) (Result, error) {
+	var hook func(h *cpu.Harness)
+	latched := false
+	switch {
+	case f.Pulse:
+		// Validate the site up front: the hook runs mid-simulation and
+		// has no error path.
+		if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) {
+			return Result{}, fmt.Errorf("faultinject: gate %d out of range", f.Gate)
+		}
+		if k := c.N.Gates[f.Gate].Kind; k.IsSeq() || k.NumInputs() == 0 {
+			return Result{}, fmt.Errorf("faultinject: gate %d (%s) is not a combinational SET site", f.Gate, k)
+		}
+		var before, after []logic.V
+		hook = func(h *cpu.Harness) {
+			if h.Cycles != f.Cycle {
+				return
+			}
+			// Settle the fault-free cycle, snapshot the D pins, strike,
+			// and resettle: any D-pin difference means the glitch was
+			// wide enough to be latched at the coming edge.
+			h.Sim.Settle()
+			before = h.Sim.DffDSnapshotInto(before)
+			if _, err := h.Sim.InjectPulse(f.Gate); err != nil {
+				return // unreachable: the site was validated above
+			}
+			h.Sim.Settle()
+			after = h.Sim.DffDSnapshotInto(after)
+			for i := range before {
+				if before[i] != after[i] {
+					latched = true
+					break
+				}
+			}
+		}
+	case f.Transient:
+		hook = func(h *cpu.Harness) {
+			if h.Cycles != f.Cycle {
+				return
+			}
+			flip := logic.One
+			if h.Sim.Val[f.Gate] == logic.One {
+				flip = logic.Zero
+			}
+			h.Sim.ForceDff(f.Gate, flip)
+		}
+	default:
+		restore, err := stuckAt(c.N, f.Gate, f.StuckAt)
+		if err != nil {
+			return Result{}, err
+		}
+		defer restore()
+	}
+	max := opts.MaxCycles
+	if max == 0 {
+		max = 2*g.Cycles + 1024
+	}
+	bw := core.Workload{MaxCycles: max}
+	if w != nil {
+		bw.RAM, bw.P1, bw.IRQ = w.RAM, w.P1, w.IRQ
+	}
+	tr, err := core.RunWorkloadHooked(ctx, c, prog, &bw, hook)
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return Result{}, fmt.Errorf("faultinject: campaign aborted: %w", cerr)
+		}
+		var fe *core.FlowError
+		detail := err.Error()
+		if errors.As(err, &fe) {
+			detail = fe.Err.Error()
+		}
+		return Result{Fault: f, Outcome: Hang, Detail: truncate(detail)}, nil
+	}
+	if d := diffOuts(g.Out, tr.Out); d != "" {
+		return Result{Fault: f, Outcome: SDC, Detail: d}, nil
+	}
+	if tr.Cycles != g.Cycles {
+		return Result{Fault: f, Outcome: SDC,
+			Detail: fmt.Sprintf("halted at cycle %d, golden %d", tr.Cycles, g.Cycles)}, nil
+	}
+	if latched {
+		return Result{Fault: f, Outcome: Latched,
+			Detail: "corrupted flip-flop state at the strike edge, architecturally silent"}, nil
+	}
+	return Result{Fault: f, Outcome: Masked}, nil
+}
+
+// stuckAt ties gate g's output to v in place (the same transformation
+// cut.Apply performs) and returns a closure restoring the original gate.
+func stuckAt(n *netlist.Netlist, g netlist.GateID, v logic.V) (restore func(), err error) {
+	if int(g) < 0 || int(g) >= len(n.Gates) {
+		return nil, fmt.Errorf("faultinject: gate %d out of range", g)
+	}
+	saved := n.Gates[g]
+	switch saved.Kind {
+	case netlist.Input, netlist.Const0, netlist.Const1:
+		return nil, fmt.Errorf("faultinject: gate %d (%s) is not a fault site", g, saved.Kind)
+	}
+	k := netlist.Const0
+	if v == logic.One {
+		k = netlist.Const1
+	}
+	n.Gates[g].Kind = k
+	n.Gates[g].In = [3]netlist.GateID{netlist.None, netlist.None, netlist.None}
+	n.InvalidateDerived()
+	return func() {
+		n.Gates[g] = saved
+		n.InvalidateDerived()
+	}, nil
+}
+
+// TestBatchedMatchesScalarOutcomes is the engine-equality oracle: a
 // mixed campaign of stuck-ats, SEUs and SETs must classify every fault
-// identically on the bit-parallel and the one-run-per-fault backends —
-// same outcome, same detail, same order.
+// identically on the bit-parallel engine and the one-run-per-fault
+// scalar oracle — same outcome, same detail, same order.
 func TestBatchedMatchesScalarOutcomes(t *testing.T) {
 	res, prog, w := multSetup(t)
 	c := cpu.Build()
@@ -65,10 +212,7 @@ func TestBatchedMatchesScalarOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := Campaign(context.Background(), c, prog, w, faults, Options{Seed: 5, Scalar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	scalar := scalarCampaign(t, c, prog, w, faults, Options{Seed: 5})
 
 	if batched.Injected != scalar.Injected || batched.Injected != len(faults) {
 		t.Fatalf("injected %d batched vs %d scalar (want %d)", batched.Injected, scalar.Injected, len(faults))
@@ -109,19 +253,16 @@ func TestBatchedMatchesScalarOutcomes(t *testing.T) {
 			t.Fatalf("diverged order: %v vs %v", batched.Diverged[i].Fault, scalar.Diverged[i].Fault)
 		}
 	}
-	if batched.Batches >= scalar.Batches {
-		t.Fatalf("batched built %d instances, scalar %d: batching had no effect", batched.Batches, scalar.Batches)
+	if want := (len(faults) + faultLanes - 1) / faultLanes; batched.Batches != want {
+		t.Fatalf("batched built %d instances for %d faults, want %d", batched.Batches, len(faults), want)
 	}
-	if batched.LanesPerBatch != faultLanes+1 || scalar.LanesPerBatch != 1 {
-		t.Fatalf("lane accounting: batched %d, scalar %d", batched.LanesPerBatch, scalar.LanesPerBatch)
-	}
-	if batched.Elapsed <= 0 || scalar.Elapsed <= 0 {
-		t.Fatalf("elapsed not recorded: batched %v, scalar %v", batched.Elapsed, scalar.Elapsed)
+	if batched.Elapsed <= 0 {
+		t.Fatalf("elapsed not recorded: %v", batched.Elapsed)
 	}
 }
 
-// TestSEUCampaignBackendEquality runs the public SEU entry point on both
-// backends with the same seed: the (site, cycle) schedule and every
+// TestSEUCampaignBackendEquality runs the public SEU entry point and
+// replays its seeded (site, cycle) schedule on the scalar oracle: every
 // outcome must be identical.
 func TestSEUCampaignBackendEquality(t *testing.T) {
 	_, prog, w := multSetup(t)
@@ -133,10 +274,17 @@ func TestSEUCampaignBackendEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := SEUCampaign(context.Background(), cpu.Build(), prog, w, n, Options{Seed: 11, Scalar: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(batched.Results) != n {
+		t.Fatalf("injected %d of %d SEUs", len(batched.Results), n)
 	}
+	schedule := make([]Fault, n)
+	for i, r := range batched.Results {
+		if !r.Fault.Transient {
+			t.Fatalf("injection %d is not an SEU: %v", i, r.Fault)
+		}
+		schedule[i] = r.Fault
+	}
+	scalar := scalarCampaign(t, cpu.Build(), prog, w, schedule, Options{Seed: 11})
 	if len(batched.Results) != len(scalar.Results) {
 		t.Fatalf("result counts: %d vs %d", len(batched.Results), len(scalar.Results))
 	}
@@ -220,14 +368,14 @@ func TestBatchedGoldenLaneGuard(t *testing.T) {
 		}
 	}
 	faults := []Fault{{Gate: dff, Transient: true, Cycle: 1}}
-	outcomes, _, err := runCampaignBatched(context.Background(), c, prog, w, bad, faults, Options{})
+	rep, err := runCampaign(context.Background(), c, prog, w, bad, faults, Options{})
 	if err == nil {
-		t.Fatalf("corrupted golden accepted; outcomes %+v", outcomes)
+		t.Fatalf("corrupted golden accepted; report %+v", rep)
 	}
 }
 
 // TestBatchedStuckAtXMatchesScalar: the scalar rewrite maps a stuck-at-X
-// request to Const0; the batched backend must do the same rather than
+// request to Const0; the batched engine must do the same rather than
 // reject it.
 func TestBatchedStuckAtXMatchesScalar(t *testing.T) {
 	res, prog, w := multSetup(t)
@@ -238,13 +386,15 @@ func TestBatchedStuckAtXMatchesScalar(t *testing.T) {
 	}
 	f := claimed[0]
 	f.StuckAt = logic.X
-	for _, opts := range []Options{{}, {Scalar: true}} {
-		rep, err := Campaign(context.Background(), c, prog, w, []Fault{f}, opts)
-		if err != nil {
-			t.Fatalf("scalar=%v: %v", opts.Scalar, err)
-		}
-		if rep.Injected != 1 {
-			t.Fatalf("scalar=%v: injected %d", opts.Scalar, rep.Injected)
-		}
+	rep, err := Campaign(context.Background(), c, prog, w, []Fault{f}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar := scalarCampaign(t, c, prog, w, []Fault{f}, Options{})
+	if rep.Injected != 1 || scalar.Injected != 1 {
+		t.Fatalf("injected %d batched, %d scalar", rep.Injected, scalar.Injected)
+	}
+	if b, s := rep.Results[0], scalar.Results[0]; b.Outcome != s.Outcome || b.Detail != s.Detail {
+		t.Fatalf("stuck-at-X: batched %v (%s), scalar %v (%s)", b.Outcome, b.Detail, s.Outcome, s.Detail)
 	}
 }

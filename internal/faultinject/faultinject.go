@@ -24,8 +24,9 @@
 //
 // Campaigns compare every faulty run against a golden reference (the ISA
 // model's output stream, cross-checked against a clean gate-level run)
-// and fan out across a worker pool, each worker owning a private clone of
-// the design. The caller's context bounds the whole campaign.
+// and fan out across a worker pool in 64-lane internal/bitsim batches:
+// 63 faulty worlds plus a fault-free guard lane per simulator pass. The
+// caller's context bounds the whole campaign.
 package faultinject
 
 import (
@@ -37,7 +38,6 @@ import (
 
 	"bespoke/internal/asm"
 	"bespoke/internal/bench"
-	"bespoke/internal/bitsim"
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/isasim"
@@ -142,13 +142,9 @@ type Report struct {
 	Results []Result
 
 	// Batches is the number of simulator instances the campaign built:
-	// ceil(faults/63) for the batched backend, one per fault for the
-	// scalar backend.
+	// ceil(faults/63), each running 63 faulty worlds plus a golden guard
+	// lane.
 	Batches int
-	// LanesPerBatch is each instance's world capacity: 64 for the
-	// batched backend (63 faults plus a golden guard lane), 1 for the
-	// scalar backend.
-	LanesPerBatch int
 	// Elapsed is the injection phase's wall-clock time (the golden
 	// reference run is excluded).
 	Elapsed time.Duration
@@ -160,8 +156,8 @@ func (r *Report) Divergent() int { return r.SDCs + r.Hangs }
 
 // Options tunes a campaign.
 type Options struct {
-	// Workers is the fan-out width (default GOMAXPROCS). Each worker
-	// owns a private clone of the design.
+	// Workers is the fan-out width (default GOMAXPROCS). Workers share
+	// the design read-only; each batch owns its simulator instance.
 	Workers int
 	// MaxFaults caps the number of injections; when the candidate list
 	// is larger, a deterministic sample (driven by Seed) is taken.
@@ -172,12 +168,6 @@ type Options struct {
 	// MaxCycles bounds each faulty run. 0 derives a bound from the
 	// golden run (2x golden cycles + slack), so hung runs terminate.
 	MaxCycles uint64
-	// Scalar forces the one-run-per-fault backend (each worker owning a
-	// private clone of the design) instead of the default bit-parallel
-	// backend that settles 63 faulty worlds plus a golden guard lane per
-	// simulator pass. Outcomes are identical either way; the scalar
-	// backend remains as the cross-check and baseline.
-	Scalar bool
 }
 
 // Golden is the fault-free reference behavior of one workload.
@@ -498,40 +488,40 @@ func Campaign(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workl
 	return rep, nil
 }
 
-// runCampaign dispatches the fault list to a backend and aggregates the
-// per-index outcomes sequentially after the pool drains, so the report
-// is deterministic regardless of worker scheduling. The default backend
-// is the bit-parallel one (63 faulty worlds plus a golden guard lane per
-// simulator instance); Options.Scalar selects the one-run-per-fault
-// backend, where each worker owns a private clone of the design (gate
-// IDs are preserved by Clone), injects one fault at a time, and restores
-// the netlist between runs.
+// runCampaign fans the fault list out in chunks of 63, one bit-parallel
+// simulator instance per chunk (63 faulty worlds plus a golden guard
+// lane), over the shared worker pool, and aggregates the per-index
+// outcomes sequentially after the pool drains, so the report is
+// deterministic regardless of worker scheduling.
 func runCampaign(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, g *Golden, faults []Fault, opts Options) (*Report, error) {
 	start := time.Now()
-	var outcomes []*Result
-	var perr error
-	rep := &Report{}
-	if opts.Scalar {
-		rep.Batches, rep.LanesPerBatch = len(faults), 1
-		outcomes = make([]*Result, len(faults))
-		perr = parallel.ForEachState(ctx, opts.Workers, len(faults),
-			func(int) *cpu.Core { return c.Clone() },
-			func(clone *cpu.Core, i int) error {
-				res, err := injectOne(ctx, clone, prog, w, g, faults[i], opts)
-				if err != nil {
-					return err
-				}
-				outcomes[i] = &res
-				return nil
-			})
-	} else {
-		outcomes, rep.Batches, perr = runCampaignBatched(ctx, c, prog, w, g, faults, opts)
-		rep.LanesPerBatch = bitsim.Lanes
+	outcomes := make([]*Result, len(faults))
+	nBatch := (len(faults) + faultLanes - 1) / faultLanes
+	perr := parallel.ForEach(ctx, opts.Workers, nBatch, func(bi int) error {
+		lo := bi * faultLanes
+		hi := min(lo+faultLanes, len(faults))
+		return injectBatch(ctx, c, prog, w, g, faults[lo:hi], outcomes[lo:hi], opts)
+	})
+	rep := fold(outcomes)
+	rep.Batches = nBatch
+	if perr != nil {
+		if cerr := ctx.Err(); cerr != nil && errors.Is(perr, cerr) {
+			return nil, fmt.Errorf("faultinject: campaign aborted after %d of %d faults: %w",
+				rep.Injected, len(faults), cerr)
+		}
+		return nil, perr
 	}
+	rep.Elapsed = time.Since(start)
+	return rep, nil
+}
 
+// fold tallies per-fault outcomes, in fault-list order, into a report.
+// Nil outcomes (abandoned after an error or cancellation) are skipped.
+func fold(outcomes []*Result) *Report {
+	rep := &Report{}
 	for _, o := range outcomes {
 		if o == nil {
-			continue // abandoned after an error or cancellation
+			continue
 		}
 		rep.Injected++
 		rep.Results = append(rep.Results, *o)
@@ -548,18 +538,10 @@ func runCampaign(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 			rep.Diverged = append(rep.Diverged, *o)
 		}
 	}
-	if perr != nil {
-		if cerr := ctx.Err(); cerr != nil && errors.Is(perr, cerr) {
-			return nil, fmt.Errorf("faultinject: campaign aborted after %d of %d faults: %w",
-				rep.Injected, len(faults), cerr)
-		}
-		return nil, perr
-	}
 	sort.Slice(rep.Diverged, func(i, j int) bool {
 		return faultLess(rep.Diverged[i].Fault, rep.Diverged[j].Fault)
 	})
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	return rep
 }
 
 // faultLess is a total order on faults (site, strike time, kind,
@@ -579,120 +561,6 @@ func faultLess(a, b Fault) bool {
 		return b.Transient
 	}
 	return a.StuckAt < b.StuckAt
-}
-
-// injectOne runs one faulty execution on the worker's private clone and
-// classifies it. Fault-induced failures (hangs, X-poisoned state) become
-// divergent outcomes; context errors abort the campaign.
-func injectOne(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, g *Golden, f Fault, opts Options) (Result, error) {
-	var hook func(h *cpu.Harness)
-	latched := false
-	switch {
-	case f.Pulse:
-		// Validate the site up front: the hook runs mid-simulation and
-		// has no error path.
-		if int(f.Gate) < 0 || int(f.Gate) >= len(c.N.Gates) {
-			return Result{}, fmt.Errorf("faultinject: gate %d out of range", f.Gate)
-		}
-		if k := c.N.Gates[f.Gate].Kind; k.IsSeq() || k.NumInputs() == 0 {
-			return Result{}, fmt.Errorf("faultinject: gate %d (%s) is not a combinational SET site", f.Gate, k)
-		}
-		var before, after []logic.V
-		hook = func(h *cpu.Harness) {
-			if h.Cycles != f.Cycle {
-				return
-			}
-			// Settle the fault-free cycle, snapshot the D pins, strike,
-			// and resettle: any D-pin difference means the glitch was
-			// wide enough to be latched at the coming edge.
-			h.Sim.Settle()
-			before = h.Sim.DffDSnapshotInto(before)
-			if _, err := h.Sim.InjectPulse(f.Gate); err != nil {
-				return // unreachable: the site was validated above
-			}
-			h.Sim.Settle()
-			after = h.Sim.DffDSnapshotInto(after)
-			for i := range before {
-				if before[i] != after[i] {
-					latched = true
-					break
-				}
-			}
-		}
-	case f.Transient:
-		hook = func(h *cpu.Harness) {
-			if h.Cycles != f.Cycle {
-				return
-			}
-			flip := logic.One
-			if h.Sim.Val[f.Gate] == logic.One {
-				flip = logic.Zero
-			}
-			h.Sim.ForceDff(f.Gate, flip)
-		}
-	default:
-		restore, err := stuckAt(c.N, f.Gate, f.StuckAt)
-		if err != nil {
-			return Result{}, err
-		}
-		defer restore()
-	}
-	max := opts.MaxCycles
-	if max == 0 {
-		max = 2*g.Cycles + 1024
-	}
-	bw := core.Workload{MaxCycles: max}
-	if w != nil {
-		bw.RAM, bw.P1, bw.IRQ = w.RAM, w.P1, w.IRQ
-	}
-	tr, err := core.RunWorkloadHooked(ctx, c, prog, &bw, hook)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return Result{}, fmt.Errorf("faultinject: campaign aborted: %w", cerr)
-		}
-		var fe *core.FlowError
-		detail := err.Error()
-		if errors.As(err, &fe) {
-			detail = fe.Err.Error()
-		}
-		return Result{Fault: f, Outcome: Hang, Detail: truncate(detail)}, nil
-	}
-	if d := diffOuts(g.Out, tr.Out); d != "" {
-		return Result{Fault: f, Outcome: SDC, Detail: d}, nil
-	}
-	if tr.Cycles != g.Cycles {
-		return Result{Fault: f, Outcome: SDC,
-			Detail: fmt.Sprintf("halted at cycle %d, golden %d", tr.Cycles, g.Cycles)}, nil
-	}
-	if latched {
-		return Result{Fault: f, Outcome: Latched,
-			Detail: "corrupted flip-flop state at the strike edge, architecturally silent"}, nil
-	}
-	return Result{Fault: f, Outcome: Masked}, nil
-}
-
-// stuckAt ties gate g's output to v in place (the same transformation
-// cut.Apply performs) and returns a closure restoring the original gate.
-func stuckAt(n *netlist.Netlist, g netlist.GateID, v logic.V) (restore func(), err error) {
-	if int(g) < 0 || int(g) >= len(n.Gates) {
-		return nil, fmt.Errorf("faultinject: gate %d out of range", g)
-	}
-	saved := n.Gates[g]
-	switch saved.Kind {
-	case netlist.Input, netlist.Const0, netlist.Const1:
-		return nil, fmt.Errorf("faultinject: gate %d (%s) is not a fault site", g, saved.Kind)
-	}
-	k := netlist.Const0
-	if v == logic.One {
-		k = netlist.Const1
-	}
-	n.Gates[g].Kind = k
-	n.Gates[g].In = [3]netlist.GateID{netlist.None, netlist.None, netlist.None}
-	n.InvalidateDerived()
-	return func() {
-		n.Gates[g] = saved
-		n.InvalidateDerived()
-	}, nil
 }
 
 // diffOuts describes the first difference between two output streams, or

@@ -277,24 +277,30 @@ func TestModuleMap(t *testing.T) {
 	}
 }
 
-// TestSETPulseRejectsBadSites: SET faults aimed at flip-flops, inputs
-// or out-of-range gates are campaign errors, not silent no-ops.
+// TestSETPulseRejectsBadSites: SET faults aimed at flip-flops or
+// out-of-range gates, and SEU faults aimed at anything but a flip-flop,
+// are campaign errors, not silent no-ops.
 func TestSETPulseRejectsBadSites(t *testing.T) {
 	_, prog, w := multSetup(t)
 	c := cpu.Build()
-	var dff netlist.GateID = netlist.None
+	dff, comb := netlist.None, netlist.None
 	for i := range c.N.Gates {
-		if c.N.Gates[i].Kind == netlist.Dff {
+		switch k := c.N.Gates[i].Kind; {
+		case k == netlist.Dff && dff == netlist.None:
 			dff = netlist.GateID(i)
-			break
+		case !k.IsSeq() && k.NumInputs() > 0 && comb == netlist.None:
+			comb = netlist.GateID(i)
 		}
 	}
 	for _, f := range []Fault{
 		{Gate: dff, Pulse: true},
 		{Gate: netlist.GateID(len(c.N.Gates)), Pulse: true},
+		{Gate: comb, Transient: true},
+		{Gate: c.N.Inputs[0], Transient: true},
+		{Gate: netlist.GateID(len(c.N.Gates)), Transient: true},
 	} {
 		if _, err := Campaign(context.Background(), c, prog, w, []Fault{f}, Options{}); err == nil {
-			t.Fatalf("campaign accepted invalid SET site %v", f)
+			t.Fatalf("campaign accepted invalid site %v", f)
 		}
 	}
 }

@@ -23,25 +23,8 @@ const DefaultSampleCycles = 512
 // "pc lies in ROM" hint. Nothing here is assumed — every output feeds the
 // candidate pool of Prove.
 func NewCoreSpec(c *cpu.Core, res *symexec.Result, sampleCycles int) (*Spec, error) {
-	romAddr, romData, romEn := c.ROM.Pins()
-	ramAddr, ramWData, ramData, ramEn, ramWLo, ramWHi := c.RAM.Pins()
-	spec := &Spec{
-		N: c.N,
-		ROM: &equiv.ROMSpec{
-			Addr:  romAddr,
-			Data:  romData,
-			En:    romEn,
-			Words: c.ROM.Words(),
-		},
-		RAM: &equiv.RAMSpec{
-			Addr:  ramAddr,
-			WData: ramWData,
-			Data:  ramData,
-			En:    ramEn,
-			WEnLo: ramWLo,
-			WEnHi: ramWHi,
-		},
-	}
+	spec := &Spec{N: c.N}
+	spec.ROM, spec.RAM = equiv.CoreMemSpecs(c)
 	for i := range c.Regs {
 		spec.Buses = append(spec.Buses, Bus{Name: fmt.Sprintf("r%d", i), Bits: c.Regs[i]})
 	}

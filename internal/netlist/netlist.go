@@ -261,82 +261,22 @@ func (n *Netlist) Fanout() [][]GateID {
 	return fo
 }
 
-// Levels computes, for every gate, its combinational topological level.
-// Inputs, constants and DFFs are level 0; a combinational gate is one
-// more than the max level of its inputs (DFF outputs count as level 0
-// sources, and DFF D-pins do not constrain anything). It returns an
-// error if the combinational logic has a cycle.
+// Levels computes, for every gate, its combinational topological level:
+// the levels of Compile's schedule with no blocks attached. Inputs,
+// constants and DFFs are level 0; a combinational gate is one more than
+// the max level of its inputs (DFF outputs count as level 0 sources, and
+// DFF D-pins do not constrain anything). It returns an error if the
+// combinational logic has a cycle. The result is cached until the
+// netlist is mutated.
 func (n *Netlist) Levels() ([]int32, int32, error) {
 	if n.levels != nil {
 		return n.levels, n.maxLvl, nil
 	}
-	lv := make([]int32, len(n.Gates))
-	state := make([]uint8, len(n.Gates)) // 0 unvisited, 1 in stack, 2 done
-	var maxLvl int32
-
-	// Iterative DFS to avoid deep recursion on long logic chains.
-	type frame struct {
-		id  GateID
-		pin int
+	lv, maxLvl, err := levelize(n, nil)
+	if err != nil {
+		return nil, 0, err
 	}
-	var stack []frame
-	var visit func(root GateID) error
-	visit = func(root GateID) error {
-		stack = stack[:0]
-		stack = append(stack, frame{root, 0})
-		state[root] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			g := &n.Gates[f.id]
-			if g.Kind.IsSeq() || g.Kind.NumInputs() == 0 {
-				lv[f.id] = 0
-				state[f.id] = 2
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			if f.pin < g.Kind.NumInputs() {
-				in := g.In[f.pin]
-				f.pin++
-				if in == None {
-					continue
-				}
-				switch state[in] {
-				case 0:
-					state[in] = 1
-					stack = append(stack, frame{in, 0})
-				case 1:
-					if !n.Gates[in].Kind.IsSeq() {
-						return fmt.Errorf("netlist: combinational cycle through gate %d (%s %q)", in, n.Gates[in].Kind, n.Gates[in].Name)
-					}
-				}
-				continue
-			}
-			var m int32 = -1
-			for p := 0; p < g.Kind.NumInputs(); p++ {
-				if in := g.In[p]; in != None && !n.Gates[in].Kind.IsSeq() {
-					if lv[in] > m {
-						m = lv[in]
-					}
-				}
-			}
-			lv[f.id] = m + 1
-			if lv[f.id] > maxLvl {
-				maxLvl = lv[f.id]
-			}
-			state[f.id] = 2
-			stack = stack[:len(stack)-1]
-		}
-		return nil
-	}
-	for i := range n.Gates {
-		if state[i] == 0 {
-			if err := visit(GateID(i)); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	n.levels = lv
-	n.maxLvl = maxLvl
+	n.levels, n.maxLvl = lv, maxLvl
 	return lv, maxLvl, nil
 }
 

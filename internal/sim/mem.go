@@ -76,28 +76,37 @@ func (r *RAM) Clock(s *Sim) {
 	if en == logic.Zero {
 		return
 	}
-	data := s.ReadBus(r.wdata)
-	a := s.ReadBus(r.addr)
+	ConservativeWrite(len(r.words), s.ReadBus(r.addr), s.ReadBus(r.wdata), wl, wh, en,
+		func(i uint16) logic.Word { return r.words[i] },
+		func(i uint16, w logic.Word) { r.words[i] = w })
+}
+
+// ConservativeWrite commits one clocked write of data at address a to a
+// memory of size words, reading word i through word and replacing it
+// through set. wl and wh enable the low and high byte lanes and en
+// selects the memory. A lane whose enable and select are both One is
+// overwritten, a possible write (an X enable or select) merges into the
+// old contents, and a write to a partially unknown address merges into
+// every word the address could reach. It is the one write rule of both
+// simulators' RAMs.
+func ConservativeWrite(size int, a, data logic.Word, wl, wh, en logic.V, word func(uint16) logic.Word, set func(uint16, logic.Word)) {
 	write := func(w logic.Word) logic.Word {
-		nw := w
 		if wl != logic.Zero {
-			nw = mergeLane(nw, data, 0, wl == logic.One && en == logic.One)
+			w = mergeLane(w, data, 0, wl == logic.One && en == logic.One)
 		}
 		if wh != logic.Zero {
-			nw = mergeLane(nw, data, 8, wh == logic.One && en == logic.One)
+			w = mergeLane(w, data, 8, wh == logic.One && en == logic.One)
 		}
-		return nw
+		return w
 	}
 	if a.Known() {
-		r.words[a.Val] = write(r.words[a.Val])
+		set(a.Val, write(word(a.Val)))
 		return
 	}
-	// Unknown address: the write may land anywhere. Conservatively merge
-	// into every word the partially-known address could reach.
-	for i := range r.words {
-		if addrPossible(a, uint16(i)) {
-			w := write(r.words[i])
-			r.words[i] = r.words[i].Merge(w)
+	for i := 0; i < size; i++ {
+		if (a.Val^uint16(i))&^a.Mask == 0 {
+			old := word(uint16(i))
+			set(uint16(i), old.Merge(write(old)))
 		}
 	}
 }
@@ -115,12 +124,6 @@ func mergeLane(w, data logic.Word, shift uint, definite bool) logic.Word {
 		}
 	}
 	return w
-}
-
-// addrPossible reports whether the three-valued address a could equal
-// the concrete index i.
-func addrPossible(a logic.Word, i uint16) bool {
-	return (a.Val^i)&^a.Mask == 0
 }
 
 // Reset implements Block: all words become X.

@@ -125,8 +125,7 @@ type Sim struct {
 	blockSubIdx []int32
 	blockSubDat []int32
 
-	levels   []int32
-	maxLevel int32
+	levels []int32
 
 	// fanIdx/fanDat are the CSR form of combinational fanout: the
 	// non-sequential readers of net g are fanDat[fanIdx[g]:fanIdx[g+1]].
@@ -134,7 +133,7 @@ type Sim struct {
 	// clock edge, never propagated during settle). Each entry carries the
 	// reader's level so the enqueue path avoids a second random load.
 	fanIdx []int32
-	fanDat []fanEntry
+	fanDat []netlist.Reader
 
 	// ops packs each gate's flattened input pins and truth-table row
 	// offset into one 16-byte record so evaluation touches a single
@@ -178,92 +177,49 @@ type Sim struct {
 	resetting bool
 }
 
-// New builds a simulator for n with the given behavioral blocks. It
-// levelizes the combinational network including block read paths and
-// returns an error on combinational cycles.
+// New builds a simulator for n with the given behavioral blocks from the
+// netlist's compiled schedule (netlist.Compile): levels over the
+// combinational network including block read paths, CSR fanout and the
+// per-level event queue. It returns an error on combinational cycles.
 func New(n *netlist.Netlist, blocks ...Block) (*Sim, error) {
+	pins := make([]netlist.BlockPins, len(blocks))
+	for i, b := range blocks {
+		pins[i] = netlist.BlockPins{Inputs: b.Inputs(), Outputs: b.Outputs()}
+	}
+	sch, err := netlist.Compile(n, pins)
+	if err != nil {
+		return nil, err
+	}
 	nG := len(n.Gates)
+	nLvl := len(sch.QueueOff) - 1
 	s := &Sim{
 		N:           n,
 		Val:         make([]logic.V, nG),
 		Active:      make([]bool, nG),
 		ToggleCount: make([]uint64, nG),
 		blocks:      blocks,
+		blockSubIdx: sch.SubIdx,
+		blockSubDat: sch.SubDat,
+		levels:      sch.Levels,
+		fanIdx:      sch.FanIdx,
+		fanDat:      sch.FanDat,
+		ops:         make([]gateOp, nG),
+		bucketOff:   sch.QueueOff,
+		bucketNext:  append([]int32(nil), sch.QueueOff[:nLvl]...),
+		bucketDat:   make([]netlist.GateID, sch.QueueOff[nLvl]),
 		inQueue:     make([]bool, nG),
 		blockDirty:  make([]bool, len(blocks)),
-		dffs:        n.DffIDs(),
+		blockAtLvl:  sch.BlocksAt,
+		minPend:     int32(nLvl),
+		minBlockLvl: sch.MinBlockLevel,
+		dffs:        sch.Dffs,
+		dffD:        sch.DffD,
+		dffReset:    sch.DffReset,
 	}
 	for i := range s.Val {
 		s.Val[i] = logic.X
 	}
-	s.dffD = make([]int32, len(s.dffs))
-	s.dffReset = make([]logic.V, len(s.dffs))
-	for i, id := range s.dffs {
-		s.dffD[i] = int32(n.Gates[id].In[0])
-		s.dffReset[i] = n.Gates[id].Reset
-	}
-
-	// CSR block subscriptions.
-	s.blockSubIdx = make([]int32, nG+1)
-	for _, b := range blocks {
-		for _, in := range b.Inputs() {
-			s.blockSubIdx[in+1]++
-		}
-	}
-	for i := 0; i < nG; i++ {
-		s.blockSubIdx[i+1] += s.blockSubIdx[i]
-	}
-	s.blockSubDat = make([]int32, s.blockSubIdx[nG])
-	fill := make([]int32, nG)
-	for bi, b := range blocks {
-		for _, in := range b.Inputs() {
-			s.blockSubDat[s.blockSubIdx[in]+fill[in]] = int32(bi)
-			fill[in]++
-		}
-		for _, out := range b.Outputs() {
-			if n.Gates[out].Kind != netlist.Input {
-				return nil, fmt.Errorf("sim: block %d output gate %d is %s, want input", bi, out, n.Gates[out].Kind)
-			}
-		}
-	}
-
-	// CSR combinational fanout (sequential readers filtered out).
-	s.fanIdx = make([]int32, nG+1)
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		if g.Kind.IsSeq() {
-			continue
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			if in := g.In[p]; in != netlist.None {
-				s.fanIdx[in+1]++
-			}
-		}
-	}
-	for i := 0; i < nG; i++ {
-		s.fanIdx[i+1] += s.fanIdx[i]
-	}
-	s.fanDat = make([]fanEntry, s.fanIdx[nG])
-	for i := range fill {
-		fill[i] = 0
-	}
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		if g.Kind.IsSeq() {
-			continue
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			if in := g.In[p]; in != netlist.None {
-				s.fanDat[s.fanIdx[in]+fill[in]].id = netlist.GateID(i)
-				fill[in]++
-			}
-		}
-	}
-
 	// Flat evaluation operands: unused pins read gate 0 (don't-care).
-	s.ops = make([]gateOp, nG)
 	for i := range n.Gates {
 		g := &n.Gates[i]
 		s.ops[i].off = int32(g.Kind) * evalStride
@@ -278,146 +234,7 @@ func New(n *netlist.Netlist, blocks ...Block) (*Sim, error) {
 			s.ops[i].in2 = int32(g.In[2])
 		}
 	}
-
-	if err := s.levelize(); err != nil {
-		return nil, err
-	}
-	for i := range s.fanDat {
-		s.fanDat[i].lvl = s.levels[s.fanDat[i].id]
-	}
-
-	// Per-level queue segments sized by combinational population.
-	nLvl := int(s.maxLevel) + 2
-	s.bucketOff = make([]int32, nLvl+1)
-	for i := range n.Gates {
-		k := n.Gates[i].Kind
-		if !k.IsSeq() && k.NumInputs() > 0 {
-			s.bucketOff[s.levels[i]+1]++
-		}
-	}
-	for l := 0; l < nLvl; l++ {
-		s.bucketOff[l+1] += s.bucketOff[l]
-	}
-	s.bucketNext = append([]int32(nil), s.bucketOff[:nLvl]...)
-	s.bucketDat = make([]netlist.GateID, s.bucketOff[nLvl])
-
-	s.blockAtLvl = make([][]int32, nLvl)
-	s.minPend = int32(nLvl)
-	s.minBlockLvl = int32(nLvl)
-	for bi, b := range blocks {
-		lvl := int32(0)
-		for _, in := range b.Inputs() {
-			if s.levels[in] >= lvl {
-				lvl = s.levels[in]
-			}
-		}
-		// Evaluate the block after its highest input level settles.
-		s.blockAtLvl[lvl] = append(s.blockAtLvl[lvl], int32(bi))
-		if lvl < s.minBlockLvl {
-			s.minBlockLvl = lvl
-		}
-	}
 	return s, nil
-}
-
-// levelize assigns topological levels over the combinational graph
-// augmented with block input->output edges.
-func (s *Sim) levelize() error {
-	n := s.N
-	nG := len(n.Gates)
-	// Build augmented in-degree over combinational edges only.
-	blockOut := make([]int32, nG) // block index+1 driving this input gate
-	for bi, b := range s.blocks {
-		for _, out := range b.Outputs() {
-			blockOut[out] = int32(bi) + 1
-		}
-	}
-	isSource := func(id netlist.GateID) bool {
-		g := &n.Gates[id]
-		if g.Kind.IsSeq() {
-			return true
-		}
-		if g.Kind == netlist.Input {
-			return blockOut[id] == 0
-		}
-		return g.Kind.NumInputs() == 0
-	}
-	// preds returns combinational predecessors of id.
-	preds := func(id netlist.GateID, f func(netlist.GateID)) {
-		g := &n.Gates[id]
-		if g.Kind == netlist.Input {
-			if bi := blockOut[id]; bi != 0 {
-				for _, in := range s.blocks[bi-1].Inputs() {
-					f(in)
-				}
-			}
-			return
-		}
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			f(g.In[p])
-		}
-	}
-	lv := make([]int32, nG)
-	state := make([]uint8, nG)
-	type frame struct {
-		id   netlist.GateID
-		pred []netlist.GateID
-		i    int
-	}
-	predList := func(id netlist.GateID) []netlist.GateID {
-		var ps []netlist.GateID
-		preds(id, func(p netlist.GateID) { ps = append(ps, p) })
-		return ps
-	}
-	var stack []frame
-	for root := 0; root < nG; root++ {
-		if state[root] != 0 {
-			continue
-		}
-		stack = append(stack[:0], frame{id: netlist.GateID(root)})
-		state[root] = 1
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if isSource(f.id) {
-				lv[f.id] = 0
-				state[f.id] = 2
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			if f.pred == nil {
-				f.pred = predList(f.id)
-			}
-			if f.i < len(f.pred) {
-				p := f.pred[f.i]
-				f.i++
-				switch state[p] {
-				case 0:
-					state[p] = 1
-					stack = append(stack, frame{id: p})
-				case 1:
-					return fmt.Errorf("sim: combinational cycle through gate %d (%s %q)", p, s.N.Gates[p].Kind, s.N.Gates[p].Name)
-				}
-				continue
-			}
-			var m int32 = -1
-			for _, p := range f.pred {
-				// DFF predecessors are level-0 sources and impose no
-				// ordering; block-driven inputs carry their real level.
-				if state[p] == 2 && lv[p] > m && !s.N.Gates[p].Kind.IsSeq() {
-					m = lv[p]
-				}
-			}
-			lv[f.id] = m + 1
-			if lv[f.id] > s.maxLevel {
-				s.maxLevel = lv[f.id]
-			}
-			state[f.id] = 2
-			stack = stack[:len(stack)-1]
-		}
-	}
-	s.levels = lv
-	return nil
 }
 
 // drive sets the value of net id, recording activity and scheduling
@@ -438,14 +255,14 @@ func (s *Sim) drive(id netlist.GateID, v logic.V) {
 	// Schedule combinational fanout (CSR walk) and notify blocks.
 	for j := s.fanIdx[id]; j < s.fanIdx[id+1]; j++ {
 		e := s.fanDat[j]
-		if !s.inQueue[e.id] {
-			s.inQueue[e.id] = true
-			nx := s.bucketNext[e.lvl]
-			s.bucketDat[nx] = e.id
-			s.bucketNext[e.lvl] = nx + 1
+		if !s.inQueue[e.ID] {
+			s.inQueue[e.ID] = true
+			nx := s.bucketNext[e.Level]
+			s.bucketDat[nx] = e.ID
+			s.bucketNext[e.Level] = nx + 1
 			s.pending++
-			if e.lvl < s.minPend {
-				s.minPend = e.lvl
+			if e.Level < s.minPend {
+				s.minPend = e.Level
 			}
 		}
 	}
@@ -614,13 +431,6 @@ func (s *Sim) clearPulses() {
 type staged struct {
 	id netlist.GateID
 	v  logic.V
-}
-
-// fanEntry is one combinational fanout edge: the reading gate plus its
-// precomputed topological level.
-type fanEntry struct {
-	id  netlist.GateID
-	lvl int32
 }
 
 // gateOp is a gate's evaluation record: three operand nets (unused pins
