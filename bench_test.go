@@ -18,6 +18,7 @@ import (
 	"bespoke/internal/cut"
 	"bespoke/internal/experiments"
 	"bespoke/internal/faultinject"
+	"bespoke/internal/induct"
 	"bespoke/internal/layout"
 	"bespoke/internal/netlist"
 	"bespoke/internal/power"
@@ -289,6 +290,37 @@ func BenchmarkCutAndResynthesis(b *testing.B) {
 		kept = n2.N.CellCount()
 	}
 	b.ReportMetric(float64(kept), "kept-gates")
+}
+
+// BenchmarkInduct measures the k-induction engine alone on mult's real
+// core: the proof spec (seeded by an analysis that records bus domains)
+// and the cut plan's claims are built once, as the flow builds them, and
+// only induct.Prove is timed.
+func BenchmarkInduct(b *testing.B) {
+	p := bench.ByName("mult").MustProg()
+	res, _, err := symexec.Analyze(context.Background(), p, symexec.Options{RecordDomains: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := cpu.Build()
+	base.LoadProgram(p.Bytes, p.Origin)
+	claims, err := cut.Plan(base.N, res.Toggled, res.ConstVal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := induct.NewCoreSpec(base, res, induct.DefaultSampleCycles)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ires *induct.Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ires, err = induct.Prove(context.Background(), spec, claims, induct.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ires.Queries), "queries")
+	b.ReportMetric(float64(len(ires.Invariants)), "invariants")
 }
 
 // BenchmarkTailorFlow measures the complete flow end to end.

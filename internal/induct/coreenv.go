@@ -80,19 +80,13 @@ func pcROMCube(c *cpu.Core) (equiv.Invariant, bool) {
 // flip-flop state of every settled cycle. The runs use a fixed-seed
 // generator so sampling is reproducible.
 func sampleRuns(c *cpu.Core, cycles int) (*SampleSet, error) {
-	rng := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 { // xorshift64*
-		rng ^= rng >> 12
-		rng ^= rng << 25
-		rng ^= rng >> 27
-		return rng * 0x2545F4914F6CDD1D
-	}
+	rng := xorshift(0x9E3779B97F4A7C15)
 	const runs = 2
 	ss := &SampleSet{}
 	for run := 0; run < runs; run++ {
 		cc := c.Clone()
 		for i := 0; i < cc.RAM.Size(); i++ {
-			cc.RAM.SetWord(uint16(i), logic.KnownWord(uint16(next())))
+			cc.RAM.SetWord(uint16(i), logic.KnownWord(uint16(rng.next())))
 		}
 		s, err := cc.NewSim()
 		if err != nil {
@@ -103,7 +97,7 @@ func sampleRuns(c *cpu.Core, cycles int) (*SampleSet, error) {
 		}
 		s.Reset()
 		for cyc := 0; cyc < cycles; cyc++ {
-			r := next()
+			r := rng.next()
 			for i := range cc.IRQ {
 				// Interrupts fire rarely so runs execute real code.
 				s.Drive(cc.IRQ[i], logic.FromBool(r>>uint(16+i)&0x3F == 0x2A))

@@ -35,8 +35,9 @@
 //   - STEP: frames 0..k, free start. Every remaining candidate is
 //     assumed (selector-guarded) in frames 0..k-1; a round clause asserts
 //     some candidate is violated at frame k. Each SAT model drops the
-//     candidates it violates; UNSAT means the surviving set is
-//     k-inductive.
+//     candidates it violates, and 64 simulated lanes extend the model
+//     forward under random inputs to drop more from the same solve (see
+//     extend); UNSAT means the surviving set is k-inductive.
 //
 // Survivors of a level are PROVED: they hold in every reachable settled
 // state, they are hard-encoded at the next level, and their K records the
@@ -189,7 +190,8 @@ type Result struct {
 	// their base case or induction step and were discarded.
 	Candidates int
 	Dropped    int
-	// Rounds counts Houdini solve rounds, Queries individual solves.
+	// Rounds counts Houdini rounds, Queries individual solves. Each round
+	// is one solve, so the two are always equal.
 	Rounds  int
 	Queries int64
 	// Conflicts aggregates solver conflicts.
@@ -211,6 +213,7 @@ type engine struct {
 	cands  []candidate
 	proved []int // candidate indexes proved so far (inv.K set)
 	res    *Result
+	lanes  *lanes // extends step counterexamples (see extend)
 }
 
 // Prove infers candidate invariants for spec and discharges them by
@@ -221,7 +224,11 @@ func Prove(ctx context.Context, spec *Spec, claims []cut.Claim, opts Options) (*
 	if spec == nil || spec.N == nil {
 		return nil, fmt.Errorf("induct: nil spec")
 	}
-	e := &engine{spec: spec, opts: opts, res: &Result{Core: map[netlist.GateID]int{}}}
+	l, err := newLanes(spec, laneSeed)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{spec: spec, opts: opts, res: &Result{Core: map[netlist.GateID]int{}}, lanes: l}
 	if err := e.infer(claims); err != nil {
 		return nil, err
 	}
@@ -491,10 +498,61 @@ func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors,
 		if ndrop == 0 {
 			return nil, nil, fmt.Errorf("induct: step model violates no candidate")
 		}
-		act = keep
+		act, rest = e.extend(s, fk, k, keep, rest, sel)
 		s.AddClause(sat.Neg(round))
 		if len(act) == 0 {
 			return nil, rest, nil
 		}
 	}
+}
+
+// Limits of one counterexample extension (see extend).
+const (
+	extendIdle   = 8   // frames without a drop before it stops
+	extendFrames = 128 // frames at most
+)
+
+// extend drops more candidates on the back of one satisfiable step query.
+// It restarts 64 lanes from the model's frame-k flip-flop state and
+// simulates them forward under random inputs, dropping every active
+// candidate violated in a lane's frame t. Each such window t-k..t is
+// itself a model of the step query: frames before the lane's first are
+// the model's own, which satisfy every candidate still active; every
+// violation an earlier lane frame showed was dropped when it showed; and
+// a lane stops at its first frame that breaks a proved invariant. The
+// greatest k-inductive subset is unique, so these drops change how many
+// solves the fixpoint takes, never the survivors or the retry set. The
+// extension stops after extendIdle frames without a drop or extendFrames
+// frames. It returns the still-active candidates (act, filtered in
+// place) and rest with the new drops appended.
+func (e *engine) extend(s *sat.Solver, fk *equiv.Frame, k int, act, rest []int, sel map[int]sat.Lit) ([]int, []int) {
+	l := e.lanes
+	l.load(s, fk)
+	alive := ^uint64(0)
+	for t, idle := 0, 0; t < extendFrames && idle < extendIdle && len(act) > 0; t++ {
+		if t > 0 {
+			l.clock()
+		}
+		l.settle()
+		for _, pi := range e.proved {
+			alive &^= violated(&e.cands[pi].inv, l.val)
+		}
+		if alive == 0 {
+			break
+		}
+		keep := act[:0]
+		idle++
+		for _, ci := range act {
+			if violated(&e.cands[ci].inv, l.val)&alive == 0 {
+				keep = append(keep, ci)
+				continue
+			}
+			rest = append(rest, ci)
+			e.opts.trace("step-drop", e.cands[ci].inv.Name, k)
+			s.AddClause(sel[ci].Not())
+			idle = 0
+		}
+		act = keep
+	}
+	return act, rest
 }

@@ -14,7 +14,6 @@ package sat
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -153,7 +152,8 @@ type Solver struct {
 	unsatP   bool // permanently unsat at level 0
 	conflict []Lit
 
-	model []lbool
+	model    []lbool // the last Sat result's assignment, nil otherwise
+	modelBuf []lbool // backing store of model, reused across solves
 
 	maxLearnts   float64
 	budget       int64 // conflict budget per Solve; 0 = unlimited
@@ -688,7 +688,8 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 		next := s.pickBranch()
 		if next == LitUndef {
 			// Full assignment: record the model.
-			s.model = append([]lbool(nil), s.assign...)
+			s.modelBuf = append(s.modelBuf[:0], s.assign...)
+			s.model = s.modelBuf
 			return Sat, nil
 		}
 		s.stats.Decisions++
@@ -844,12 +845,3 @@ func (h *heap) down(i int, act []float64) {
 	h.data[i] = v
 	h.pos[v] = int32(i)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-var _ = math.Inf // keep math imported for future heuristics

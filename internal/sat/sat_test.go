@@ -316,3 +316,36 @@ func TestTautologyAndDuplicates(t *testing.T) {
 		t.Fatal("b must be true")
 	}
 }
+
+// TestModelReuse: a satisfiable solve records its model without
+// allocating, and a Model copy taken earlier survives later solves.
+func TestModelReuse(t *testing.T) {
+	s := New()
+	a, b := s.NewVar(), s.NewVar()
+	s.AddClause(Neg(a), Pos(b)) // a -> b
+	ctx := context.Background()
+	if st, err := s.Solve(ctx, Pos(a)); err != nil || st != Sat {
+		t.Fatalf("assume a: Solve = %v, %v", st, err)
+	}
+	m := s.Model()
+	if st, err := s.Solve(ctx, Neg(b)); err != nil || st != Sat {
+		t.Fatalf("assume ~b: Solve = %v, %v", st, err)
+	}
+	if s.Value(a) || s.Value(b) {
+		t.Fatal("~b assumed but the model has a or b")
+	}
+	if !m[a] || !m[b] {
+		t.Fatalf("earlier Model copy changed by a later solve: %v", m)
+	}
+	assume := []Lit{Pos(a)}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if st, _ := s.Solve(ctx, assume...); st != Sat {
+			t.Fatal("assume a: not Sat")
+		}
+	}); allocs != 0 {
+		t.Fatalf("satisfiable Solve allocates %.0f times", allocs)
+	}
+	if st, _ := s.Solve(ctx, Pos(a), Neg(b)); st != Unsat || s.Model() != nil {
+		t.Fatalf("Unsat solve: status %v, model %v", st, s.Model())
+	}
+}
