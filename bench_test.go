@@ -9,6 +9,7 @@ package bespoke
 import (
 	"context"
 	"io"
+	"sync"
 	"testing"
 
 	"bespoke/internal/bench"
@@ -16,6 +17,7 @@ import (
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/cut"
+	"bespoke/internal/equiv"
 	"bespoke/internal/experiments"
 	"bespoke/internal/faultinject"
 	"bespoke/internal/induct"
@@ -292,35 +294,83 @@ func BenchmarkCutAndResynthesis(b *testing.B) {
 	b.ReportMetric(float64(kept), "kept-gates")
 }
 
-// BenchmarkInduct measures the k-induction engine alone on mult's real
-// core: the proof spec (seeded by an analysis that records bus domains)
-// and the cut plan's claims are built once, as the flow builds them, and
-// only induct.Prove is timed.
-func BenchmarkInduct(b *testing.B) {
+// multProof builds what the flow's proof gate starts from on mult's real
+// core: the proof environment over the cut plan's claims and the
+// induction spec, both from an analysis that records bus domains.
+func multProof() (*equiv.Env, *induct.Spec, error) {
 	p := bench.ByName("mult").MustProg()
 	res, _, err := symexec.Analyze(context.Background(), p, symexec.Options{RecordDomains: true})
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
 	base := cpu.Build()
 	base.LoadProgram(p.Bytes, p.Origin)
-	claims, err := cut.Plan(base.N, res.Toggled, res.ConstVal)
+	env, err := equiv.NewCoreEnv(base, res)
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
 	spec, err := induct.NewCoreSpec(base, res, induct.DefaultSampleCycles)
+	if err != nil {
+		return nil, nil, err
+	}
+	return env, spec, nil
+}
+
+// BenchmarkInduct measures the k-induction engine alone on mult's real
+// core: the proof spec and the cut plan's claims are built once, as the
+// flow builds them, and only induct.Prove is timed.
+func BenchmarkInduct(b *testing.B) {
+	env, spec, err := multProof()
 	if err != nil {
 		b.Fatal(err)
 	}
 	var ires *induct.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ires, err = induct.Prove(context.Background(), spec, claims, induct.Options{}); err != nil {
+		if ires, err = induct.Prove(context.Background(), spec, env.Claims, induct.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(ires.Queries), "queries")
 	b.ReportMetric(float64(len(ires.Invariants)), "invariants")
+}
+
+// provedMult is mult's proof environment strengthened by its proved
+// invariants and inductive core. It is built once per process: the
+// induction run behind it takes longer than the claim proofs it feeds.
+var provedMult struct {
+	once sync.Once
+	env  *equiv.Env
+	err  error
+}
+
+// BenchmarkProveClaims measures the per-claim prover alone on mult's real
+// core with the proved invariants in place, as the flow runs it under
+// Options.Induct, on one worker; only equiv.ProveClaims is timed.
+func BenchmarkProveClaims(b *testing.B) {
+	provedMult.once.Do(func() {
+		env, spec, err := multProof()
+		if err == nil {
+			var ires *induct.Result
+			if ires, err = induct.Prove(context.Background(), spec, env.Claims, induct.Options{}); err == nil {
+				env.Invariants, env.InductCore = ires.Invariants, ires.Core
+			}
+		}
+		provedMult.env, provedMult.err = env, err
+	})
+	if provedMult.err != nil {
+		b.Fatal(provedMult.err)
+	}
+	var rep *equiv.Report
+	var err error
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep, err = equiv.ProveClaims(context.Background(), provedMult.env, equiv.Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rep.SATQueries), "sat-queries")
+	b.ReportMetric(float64(rep.Assumed), "assumed")
 }
 
 // BenchmarkTailorFlow measures the complete flow end to end.

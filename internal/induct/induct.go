@@ -325,13 +325,12 @@ func (e *engine) solve(ctx context.Context, s *sat.Solver, assume ...sat.Lit) (s
 // active candidates. It returns the proved survivors and the candidates
 // to retry at the next depth.
 func (e *engine) runLevel(ctx context.Context, k int, active []int) (survivors, rest []int, err error) {
-	active, dropped, err := e.baseCheck(ctx, k, active)
+	// A base-case failure is final: deeper ladders only ADD base frames,
+	// so a candidate baseCheck drops can never re-enter.
+	active, err = e.baseCheck(ctx, k, active)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A base-case failure is final: deeper ladders only ADD base frames,
-	// so the candidate can never re-enter.
-	_ = dropped
 	if len(active) == 0 {
 		return nil, nil, nil
 	}
@@ -339,16 +338,15 @@ func (e *engine) runLevel(ctx context.Context, k int, active []int) (survivors, 
 }
 
 // baseCheck drops active candidates violated within the first k settled
-// frames from reset. Returns the remaining candidates and the dropped
-// ones.
-func (e *engine) baseCheck(ctx context.Context, k int, active []int) (remaining, dropped []int, err error) {
+// frames from reset and returns the remaining ones.
+func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, error) {
 	s := sat.New()
 	frames := make([]*equiv.Frame, k)
 	var prev *equiv.Frame
 	for t := 0; t < k; t++ {
 		f, ferr := e.addFrame(s, prev)
 		if ferr != nil {
-			return nil, nil, ferr
+			return nil, ferr
 		}
 		frames[t] = f
 		prev = f
@@ -370,31 +368,32 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) (remaining,
 	}
 
 	act := append([]int(nil), active...)
+	var clause []sat.Lit
 	for {
 		if len(act) == 0 {
-			return nil, dropped, nil
+			return nil, nil
 		}
 		round := s.NewVar()
-		clause := []sat.Lit{sat.Neg(round)}
+		clause = append(clause[:0], sat.Neg(round))
 		for _, ci := range act {
 			clause = append(clause, viol[ci]...)
 		}
 		s.AddClause(clause...)
 		st, serr := e.solve(ctx, s, sat.Pos(round))
 		if serr != nil {
-			return nil, nil, serr
+			return nil, serr
 		}
 		e.res.Rounds++
 		switch st {
 		case sat.Unsat:
-			return act, dropped, nil
+			return act, nil
 		case sat.Unknown:
 			// Budget exhausted: the whole level is abandoned unproved.
 			e.res.BudgetExhausted = true
 			for _, ci := range act {
 				e.opts.trace("budget", e.cands[ci].inv.Name, k)
 			}
-			return nil, append(dropped, act...), nil
+			return nil, nil
 		}
 		// Drop every candidate the model violates in some base frame.
 		var keep []int
@@ -405,7 +404,6 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) (remaining,
 				violated = !e.cands[ci].inv.Holds(func(g netlist.GateID) bool { return s.Value(f.Var(g)) })
 			}
 			if violated {
-				dropped = append(dropped, ci)
 				e.opts.trace("base-drop", e.cands[ci].inv.Name, k)
 			} else {
 				keep = append(keep, ci)
@@ -414,7 +412,7 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) (remaining,
 		if len(keep) == len(act) {
 			// Cannot happen (the round clause forces a genuine violation);
 			// guard against livelock anyway.
-			return nil, nil, fmt.Errorf("induct: base model violates no candidate")
+			return nil, fmt.Errorf("induct: base model violates no candidate")
 		}
 		act = keep
 		s.AddClause(sat.Neg(round)) // retire the round clause
@@ -455,10 +453,12 @@ func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors,
 	}
 
 	act := append([]int(nil), active...)
+	clause := make([]sat.Lit, 0, len(act)+1)
+	assume := make([]sat.Lit, 0, len(act)+1)
 	for {
 		round := s.NewVar()
-		clause := []sat.Lit{sat.Neg(round)}
-		assume := make([]sat.Lit, 0, len(act)+1)
+		clause = append(clause[:0], sat.Neg(round))
+		assume = assume[:0]
 		for _, ci := range act {
 			clause = append(clause, viol[ci])
 			assume = append(assume, sel[ci])

@@ -1,9 +1,11 @@
 // Package sat is a pure-Go CDCL (conflict-driven clause learning) SAT
-// solver in the MiniSat lineage: two-literal watched propagation,
-// VSIDS-style variable activity with phase saving, first-UIP conflict
-// analysis with clause learning and basic self-subsumption minimization,
-// Luby restarts, activity-driven learnt-clause database reduction, and
-// incremental solving under assumptions with final-conflict extraction.
+// solver in the MiniSat lineage: two-literal watched propagation over one
+// flat clause arena, with binary clauses propagated from their watch
+// entries alone, VSIDS-style variable activity with phase saving,
+// first-UIP conflict analysis with clause learning and basic
+// self-subsumption minimization, Luby restarts, activity-driven
+// learnt-clause database reduction, and incremental solving under
+// assumptions with final-conflict extraction.
 //
 // It exists so the bespoke flow can *prove* properties of netlists (see
 // internal/equiv) instead of sampling them: the equivalence engine
@@ -14,6 +16,8 @@ package sat
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -70,16 +74,6 @@ const (
 	lFalse
 )
 
-func (b lbool) not() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
-
 // Status is the outcome of a Solve call.
 type Status int
 
@@ -114,29 +108,46 @@ type Stats struct {
 	Restarts     int64
 }
 
-// clause is one disjunction. Learnt clauses carry an activity used by
-// database reduction.
-type clause struct {
-	lits   []Lit
-	act    float32
-	learnt bool
-	gone   bool // removed by reduceDB; slot is dead
+// Clauses live in one arena, each addressed by the offset of its header
+// word: the header holds the literal count shifted left by hdrBits plus
+// the flags below, the next word the clause activity as float32 bits
+// (counted for learnt clauses, used by database reduction), and then the
+// literals follow.
+const (
+	hdrLearnt  = 1 // a learnt clause
+	hdrDeleted = 2 // detached by reduceDB; its words stay as garbage
+	hdrBits    = 2
+	hdrWords   = 2 // header and activity words before the literals
+)
+
+// watch is one entry of a literal's watcher list: the clause's arena
+// offset shifted left once, with the low bit set for a binary clause, and
+// a blocker literal whose truth satisfies the clause cheaply. A binary
+// clause's blocker is always its other literal, so it propagates from the
+// watch entry alone.
+type watch struct {
+	ref     uint32
+	blocker Lit
 }
 
-// watch is one entry of a literal's watcher list: the clause reference
-// and a blocker literal whose truth satisfies the clause cheaply.
-type watch struct {
-	cref    int32
-	blocker Lit
+// watchRef packs a clause's arena offset and binary flag into a
+// watch's ref.
+func watchRef(ref int32, size int) uint32 {
+	w := uint32(ref) << 1
+	if size == 2 {
+		w |= 1
+	}
+	return w
 }
 
 // Solver is one incremental CDCL instance. Not safe for concurrent use;
 // the equivalence engine gives each worker its own instance.
 type Solver struct {
-	clauses []clause
+	arena   []Lit   // every clause, in the layout described above hdrLearnt
+	learnts []int32 // live learnt clauses, in creation order
 	watches [][]watch
 
-	assign []lbool
+	vals   []lbool // indexed by literal: vals[l] is l's value
 	level  []int32
 	reason []int32 // clause ref, or -1 for decisions/assumptions
 	trail  []Lit
@@ -152,7 +163,7 @@ type Solver struct {
 	unsatP   bool // permanently unsat at level 0
 	conflict []Lit
 
-	model    []lbool // the last Sat result's assignment, nil otherwise
+	model    []lbool // the last Sat result's literal values, nil otherwise
 	modelBuf []lbool // backing store of model, reused across solves
 
 	maxLearnts   float64
@@ -169,20 +180,21 @@ func New() *Solver {
 
 // NewVar introduces a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assign))
-	s.assign = append(s.assign, lUndef)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
-	s.order.insert(v, s.activity)
+	s.order.pos = append(s.order.pos, -1)
+	s.order.insert(v, 0)
 	return v
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // SetBudget caps the number of conflicts a single Solve call may spend
 // before returning Unknown. Zero (the default) means no cap.
@@ -191,12 +203,12 @@ func (s *Solver) SetBudget(conflicts int64) { s.budget = conflicts }
 // Stats returns a snapshot of the work counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assign[l.Var()]
-	if l.Negated() {
-		return v.not()
-	}
-	return v
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
+
+// lits returns the literals of the clause at arena offset ref.
+func (s *Solver) lits(ref int32) []Lit {
+	start := ref + hdrWords
+	return s.arena[start : start+int32(s.arena[ref]>>hdrBits)]
 }
 
 // AddClause adds a disjunction of literals. It returns false when the
@@ -213,11 +225,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Simplify: sort, drop duplicates and false-at-level-0 literals,
 	// detect tautologies and satisfied clauses.
 	ls := append(s.learntClause[:0], lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
-		if l.Var() < 0 || int(l.Var()) >= len(s.assign) {
+		if l.Var() < 0 || int(l.Var()) >= s.NumVars() {
 			panic(fmt.Sprintf("sat: clause uses unknown variable %d", l.Var())) // panic-ok: clause over undeclared variables is API misuse
 		}
 		if l == prev {
@@ -246,29 +258,32 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	s.attach(append([]Lit(nil), out...), false)
+	s.attach(out, false)
 	return true
 }
 
-// attach stores a clause and registers its first two literals as watches.
+// attach copies a clause into the arena and registers its first two
+// literals as watches. It returns the clause's arena offset.
 func (s *Solver) attach(lits []Lit, learnt bool) int32 {
-	ref := int32(len(s.clauses))
-	s.clauses = append(s.clauses, clause{lits: lits, learnt: learnt, act: 1})
-	s.watches[lits[0]] = append(s.watches[lits[0]], watch{ref, lits[1]})
-	s.watches[lits[1]] = append(s.watches[lits[1]], watch{ref, lits[0]})
+	ref := int32(len(s.arena))
+	hdr := Lit(len(lits)) << hdrBits
 	if learnt {
+		hdr |= hdrLearnt
+		s.learnts = append(s.learnts, ref)
 		s.stats.Learnts++
 	}
+	s.arena = append(s.arena, hdr, Lit(math.Float32bits(1)))
+	s.arena = append(s.arena, lits...)
+	w := watchRef(ref, len(lits))
+	s.watches[lits[0]] = append(s.watches[lits[0]], watch{w, lits[1]})
+	s.watches[lits[1]] = append(s.watches[lits[1]], watch{w, lits[0]})
 	return ref
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	v := l.Var()
-	if l.Negated() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
 	s.level[v] = int32(len(s.lim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -276,34 +291,57 @@ func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 
 // propagate performs unit propagation until fixpoint. It returns the
 // reference of a conflicting clause, or -1.
+//
+// A binary clause is never loaded unless it conflicts: its watch entry
+// holds the other literal. Its literal order in the arena is therefore
+// left alone, except that a conflict writes [other, falsified], the order
+// a long clause has after the same visit, which conflict analysis reads.
 func (s *Solver) propagate() int32 {
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
 		fl := p.Not() // literal falsified by the new assignment
 		ws := s.watches[fl]
-		keep := ws[:0]
+		j := 0
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
-				keep = append(keep, w)
+			bv := vals[w.blocker]
+			if bv == lTrue {
+				ws[j] = w
+				j++
 				continue
 			}
-			c := &s.clauses[w.cref]
-			if c.lits[0] == fl {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			ref := int32(w.ref >> 1)
+			if w.ref&1 != 0 {
+				ws[j] = w
+				j++
+				if bv == lFalse {
+					s.arena[ref+hdrWords], s.arena[ref+hdrWords+1] = w.blocker, fl
+					j += copy(ws[j:], ws[i+1:])
+					s.watches[fl] = ws[:j]
+					s.qhead = len(s.trail)
+					return ref
+				}
+				s.uncheckedEnqueue(w.blocker, ref)
+				continue
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				keep = append(keep, watch{w.cref, first})
+			lits := s.lits(ref)
+			if lits[0] == fl {
+				lits[0], lits[1] = lits[1], lits[0]
+			}
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = watch{w.ref, first}
+				j++
 				continue
 			}
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1]] = append(s.watches[c.lits[1]], watch{w.cref, first})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1]] = append(s.watches[lits[1]], watch{w.ref, first})
 					moved = true
 					break
 				}
@@ -312,16 +350,17 @@ func (s *Solver) propagate() int32 {
 				continue
 			}
 			// Unit or conflicting.
-			keep = append(keep, watch{w.cref, first})
-			if s.value(first) == lFalse {
-				keep = append(keep, ws[i+1:]...)
-				s.watches[fl] = keep
+			ws[j] = watch{w.ref, first}
+			j++
+			if vals[first] == lFalse {
+				j += copy(ws[j:], ws[i+1:])
+				s.watches[fl] = ws[:j]
 				s.qhead = len(s.trail)
-				return w.cref
+				return ref
 			}
-			s.uncheckedEnqueue(first, w.cref)
+			s.uncheckedEnqueue(first, ref)
 		}
-		s.watches[fl] = keep
+		s.watches[fl] = ws[:j]
 	}
 	return -1
 }
@@ -336,16 +375,22 @@ func (s *Solver) analyze(confl int32) ([]Lit, int32) {
 	cur := int32(len(s.lim))
 
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
+		if s.arena[confl]&hdrLearnt != 0 {
 			s.bumpClause(confl)
 		}
-		start := 0
-		if p != LitUndef {
-			start = 1
+		lits := s.lits(confl)
+		switch {
+		case p == LitUndef:
+			// The conflicting clause: every literal.
+		case len(lits) > 2 || lits[0] == p:
+			// A reason: every literal but the implied p. Propagation
+			// keeps p first in a long clause; a binary clause's order is
+			// not maintained.
+			lits = lits[1:]
+		default:
+			lits = lits[:1] // a binary reason with p second
 		}
-		for j := start; j < len(c.lits); j++ {
-			q := c.lits[j]
+		for _, q := range lits {
 			v := q.Var()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.seen[v] = true
@@ -420,7 +465,7 @@ func (s *Solver) redundant(l Lit) bool {
 	if ref < 0 {
 		return false
 	}
-	for _, q := range s.clauses[ref].lits {
+	for _, q := range s.lits(ref) {
 		v := q.Var()
 		if v == l.Var() {
 			continue
@@ -452,7 +497,7 @@ func (s *Solver) analyzeFinal(p Lit) {
 		if s.reason[v] < 0 {
 			s.conflict = append(s.conflict, s.trail[i])
 		} else {
-			for _, q := range s.clauses[s.reason[v]].lits {
+			for _, q := range s.lits(s.reason[v]) {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -468,11 +513,12 @@ func (s *Solver) cancelUntil(lvl int32) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= int(s.lim[lvl]); i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v] == lTrue
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Negated()
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
 		s.reason[v] = -1
-		s.order.insert(v, s.activity)
+		s.order.insert(v, s.activity[v])
 	}
 	s.trail = s.trail[:s.lim[lvl]]
 	s.lim = s.lim[:lvl]
@@ -485,21 +531,21 @@ func (s *Solver) bumpVar(v Var) {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
+		s.order.scale(1e-100)
 		s.varInc *= 1e-100
 	}
-	s.order.update(v, s.activity)
+	s.order.update(v, s.activity[v])
 }
 
+// bumpClause counts one more use of a clause in conflict analysis. The
+// count is a float32 and so stops growing at 2^24, far below any point
+// that would need rescaling.
 func (s *Solver) bumpClause(ref int32) {
-	c := &s.clauses[ref]
-	c.act += 1
-	if c.act > 1e20 {
-		for i := range s.clauses {
-			if s.clauses[i].learnt {
-				s.clauses[i].act *= 1e-20
-			}
-		}
-	}
+	s.arena[ref+1] = Lit(math.Float32bits(s.clauseAct(ref) + 1))
+}
+
+func (s *Solver) clauseAct(ref int32) float32 {
+	return math.Float32frombits(uint32(s.arena[ref+1]))
 }
 
 // decayVar implements VSIDS decay by inflating the increment.
@@ -509,11 +555,11 @@ func (s *Solver) decayVar() { s.varInc /= 0.95 }
 // using the saved phase.
 func (s *Solver) pickBranch() Lit {
 	for {
-		v, ok := s.order.removeMax(s.activity)
+		v, ok := s.order.removeMax()
 		if !ok {
 			return LitUndef
 		}
-		if s.assign[v] == lUndef {
+		if s.vals[Pos(v)] == lUndef {
 			return MkLit(v, !s.phase[v])
 		}
 	}
@@ -533,33 +579,40 @@ func (s *Solver) reduceDB() {
 		act float32
 	}
 	var cands []cand
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		if c.learnt && !c.gone && len(c.lits) > 2 && !locked[int32(i)] {
-			cands = append(cands, cand{int32(i), c.act})
+	for _, ref := range s.learnts {
+		if s.arena[ref]>>hdrBits > 2 && !locked[ref] {
+			cands = append(cands, cand{ref, s.clauseAct(ref)})
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].act < cands[b].act })
 	for _, cd := range cands[:len(cands)/2] {
 		s.detach(cd.ref)
 	}
+	live := s.learnts[:0]
+	for _, ref := range s.learnts {
+		if s.arena[ref]&hdrDeleted == 0 {
+			live = append(live, ref)
+		}
+	}
+	s.learnts = live
 }
 
-// detach removes a clause from its watcher lists and marks it dead.
+// detach removes a long clause from its watcher lists and marks it
+// deleted.
 func (s *Solver) detach(ref int32) {
-	c := &s.clauses[ref]
-	for _, l := range c.lits[:2] {
+	lits := s.lits(ref)
+	w := watchRef(ref, len(lits))
+	for _, l := range lits[:2] {
 		ws := s.watches[l]
 		for i := range ws {
-			if ws[i].cref == ref {
+			if ws[i].ref == w {
 				ws[i] = ws[len(ws)-1]
 				s.watches[l] = ws[:len(ws)-1]
 				break
 			}
 		}
 	}
-	c.gone = true
-	c.lits = nil
+	s.arena[ref] |= hdrDeleted
 	s.stats.Learnts--
 }
 
@@ -613,7 +666,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 			if int32(len(s.lim)) <= int32(len(assumptions)) {
 				// Conflict at assumption level: extract the failing
 				// subset from the conflicting clause.
-				s.finalFromClause(confl, assumptions)
+				s.finalFromClause(confl)
 				return Unsat, nil
 			}
 			learnt, bt := s.analyze(confl)
@@ -635,7 +688,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 				}
 				// Re-establish assumption levels on the next loop.
 			} else {
-				ref := s.attach(append([]Lit(nil), learnt...), true)
+				ref := s.attach(learnt, true)
 				if s.value(learnt[0]) == lUndef {
 					s.uncheckedEnqueue(learnt[0], ref)
 				}
@@ -668,7 +721,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 		}
 		if len(s.lim) < len(assumptions) {
 			p := assumptions[len(s.lim)]
-			if p.Var() < 0 || int(p.Var()) >= len(s.assign) {
+			if p.Var() < 0 || int(p.Var()) >= s.NumVars() {
 				panic(fmt.Sprintf("sat: assumption uses unknown variable %d", p.Var())) // panic-ok: assumption over undeclared variables is API misuse
 			}
 			switch s.value(p) {
@@ -688,7 +741,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 		next := s.pickBranch()
 		if next == LitUndef {
 			// Full assignment: record the model.
-			s.modelBuf = append(s.modelBuf[:0], s.assign...)
+			s.modelBuf = append(s.modelBuf[:0], s.vals...)
 			s.model = s.modelBuf
 			return Sat, nil
 		}
@@ -701,9 +754,9 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 // finalFromClause seeds analyzeFinal-style extraction from a conflicting
 // clause discovered while the trail holds only assumptions and their
 // consequences.
-func (s *Solver) finalFromClause(confl int32, assumptions []Lit) {
+func (s *Solver) finalFromClause(confl int32) {
 	s.conflict = s.conflict[:0]
-	for _, q := range s.clauses[confl].lits {
+	for _, q := range s.lits(confl) {
 		if s.level[q.Var()] > 0 {
 			s.seen[q.Var()] = true
 		}
@@ -720,7 +773,7 @@ func (s *Solver) finalFromClause(confl int32, assumptions []Lit) {
 		if s.reason[v] < 0 {
 			s.conflict = append(s.conflict, s.trail[i])
 		} else {
-			for _, q := range s.clauses[s.reason[v]].lits {
+			for _, q := range s.lits(s.reason[v]) {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -729,10 +782,9 @@ func (s *Solver) finalFromClause(confl int32, assumptions []Lit) {
 		s.seen[v] = false
 	}
 	// Clear any remaining marks (literals below the assumption base).
-	for _, q := range s.clauses[confl].lits {
+	for _, q := range s.lits(confl) {
 		s.seen[q.Var()] = false
 	}
-	_ = assumptions
 }
 
 // Value returns the model value of v after a Sat result. It panics when
@@ -741,7 +793,7 @@ func (s *Solver) Value(v Var) bool {
 	if s.model == nil {
 		panic("sat: Value called without a model") // panic-ok: Value without a model is API misuse, documented on the method
 	}
-	return s.model[v] == lTrue
+	return s.model[Pos(v)] == lTrue
 }
 
 // Model returns the satisfying assignment as a bool slice indexed by
@@ -750,9 +802,9 @@ func (s *Solver) Model() []bool {
 	if s.model == nil {
 		return nil
 	}
-	m := make([]bool, len(s.model))
-	for i, v := range s.model {
-		m[i] = v == lTrue
+	m := make([]bool, len(s.model)/2)
+	for i := range m {
+		m[i] = s.model[Pos(Var(i))] == lTrue
 	}
 	return m
 }
@@ -765,83 +817,90 @@ func (s *Solver) FailedAssumptions() []Lit {
 }
 
 // heap is a max-heap over variable activities with position tracking.
+// Each entry carries its variable's activity, kept equal to the solver's
+// activity array, so comparisons read the heap alone.
 type heap struct {
-	data []Var
-	pos  []int32 // -1 when absent
+	data []heapEntry
+	pos  []int32 // indexed by variable; -1 when absent
 }
 
-func (h *heap) ensure(v Var) {
-	for int(v) >= len(h.pos) {
-		h.pos = append(h.pos, -1)
-	}
+type heapEntry struct {
+	act float64
+	v   Var
 }
 
-func (h *heap) insert(v Var, act []float64) {
-	h.ensure(v)
+func (h *heap) insert(v Var, act float64) {
 	if h.pos[v] >= 0 {
 		return
 	}
-	h.data = append(h.data, v)
-	h.pos[v] = int32(len(h.data) - 1)
-	h.up(int(h.pos[v]), act)
+	h.data = append(h.data, heapEntry{act, v})
+	h.up(len(h.data) - 1)
 }
 
-func (h *heap) update(v Var, act []float64) {
-	h.ensure(v)
-	if h.pos[v] >= 0 {
-		h.up(int(h.pos[v]), act)
+// update records v's raised activity.
+func (h *heap) update(v Var, act float64) {
+	if i := h.pos[v]; i >= 0 {
+		h.data[i].act = act
+		h.up(int(i))
 	}
 }
 
-func (h *heap) removeMax(act []float64) (Var, bool) {
+// scale multiplies every entry's activity by f, as the solver does its
+// activity array.
+func (h *heap) scale(f float64) {
+	for i := range h.data {
+		h.data[i].act *= f
+	}
+}
+
+func (h *heap) removeMax() (Var, bool) {
 	if len(h.data) == 0 {
 		return 0, false
 	}
-	v := h.data[0]
+	v := h.data[0].v
 	last := h.data[len(h.data)-1]
 	h.data = h.data[:len(h.data)-1]
 	h.pos[v] = -1
 	if len(h.data) > 0 {
 		h.data[0] = last
-		h.pos[last] = 0
-		h.down(0, act)
+		h.down(0)
 	}
 	return v, true
 }
 
-func (h *heap) up(i int, act []float64) {
-	v := h.data[i]
+func (h *heap) up(i int) {
+	e := h.data[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if act[h.data[p]] >= act[v] {
+		if h.data[p].act >= e.act {
 			break
 		}
 		h.data[i] = h.data[p]
-		h.pos[h.data[i]] = int32(i)
+		h.pos[h.data[i].v] = int32(i)
 		i = p
 	}
-	h.data[i] = v
-	h.pos[v] = int32(i)
+	h.data[i] = e
+	h.pos[e.v] = int32(i)
 }
 
-func (h *heap) down(i int, act []float64) {
-	v := h.data[i]
+func (h *heap) down(i int) {
+	e := h.data[i]
 	n := len(h.data)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if c+1 < n && act[h.data[c+1]] > act[h.data[c]] {
+		if c+1 < n && h.data[c+1].act > h.data[c].act {
 			c++
 		}
-		if act[h.data[c]] <= act[v] {
+		if h.data[c].act <= e.act {
 			break
 		}
 		h.data[i] = h.data[c]
-		h.pos[h.data[i]] = int32(i)
+		h.pos[h.data[i].v] = int32(i)
 		i = c
 	}
-	h.data[i] = v
-	h.pos[v] = int32(i)
+	h.data[i] = e
+	h.pos[e.v] = int32(i)
 }
