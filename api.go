@@ -113,12 +113,7 @@ func SupportsUpdateContext(ctx context.Context, base []*Program, update *Program
 	if err != nil {
 		return false, err
 	}
-	for g := range ua.Toggled {
-		if ua.Toggled[g] && !ba.Toggled[g] {
-			return false, nil
-		}
-	}
-	return true, nil
+	return len(ba.Missing(ua)) == 0, nil
 }
 
 // WriteVerilog emits a result's bespoke netlist as structural Verilog.

@@ -25,7 +25,6 @@ import (
 	"bespoke/internal/netlist"
 	"bespoke/internal/power"
 	"bespoke/internal/symexec"
-	"bespoke/internal/synth"
 )
 
 // --- Tables and figures -------------------------------------------------
@@ -282,13 +281,9 @@ func BenchmarkCutAndResynthesis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n2 := c.Clone()
-		if _, err := cut.Apply(n2.N, res.Toggled, res.ConstVal); err != nil {
+		if _, _, err := core.CutAndResynthesize(n2, res.Toggled, res.ConstVal); err != nil {
 			b.Fatal(err)
 		}
-		var keep []netlist.GateID
-		keep = append(keep, n2.ROM.Inputs()...)
-		keep = append(keep, n2.RAM.Inputs()...)
-		synth.Optimize(n2.N, keep)
 		kept = n2.N.CellCount()
 	}
 	b.ReportMetric(float64(kept), "kept-gates")
@@ -467,14 +462,14 @@ func BenchmarkAblation_NoResynthesis(b *testing.B) {
 		var kept int
 		for i := 0; i < b.N; i++ {
 			n2 := c.Clone()
-			if _, err := cut.Apply(n2.N, res.Toggled, res.ConstVal); err != nil {
-				b.Fatal(err)
-			}
+			var err error
 			if resynth {
-				var keep []netlist.GateID
-				keep = append(keep, n2.ROM.Inputs()...)
-				keep = append(keep, n2.RAM.Inputs()...)
-				synth.Optimize(n2.N, keep)
+				_, _, err = core.CutAndResynthesize(n2, res.Toggled, res.ConstVal)
+			} else {
+				_, err = cut.Apply(n2.N, res.Toggled, res.ConstVal)
+			}
+			if err != nil {
+				b.Fatal(err)
 			}
 			kept = n2.N.CellCount()
 		}

@@ -1,9 +1,10 @@
-// Command bespoke-prove formally verifies the constants the tailoring
-// flow wants to stitch: for each target application it runs the activity
-// analysis, discharges every claimed constant as a SAT proof obligation
-// (implied by the program image and the recorded reachable bus values),
-// and checks the cut+re-synthesized netlist against the baseline with a
-// miter.
+// Command bespoke-prove runs the tailoring flow's formal gate
+// (core.Prove) on each target application: the activity analysis, the
+// cut and re-synthesis, the lint gate, then every claimed constant
+// discharged as a SAT proof obligation (implied by the program image and
+// the recorded reachable bus values) and the cut+re-synthesized netlist
+// checked against the baseline with a miter. It is the gate core.Tailor
+// applies with Options.Prove, without placement or signoff.
 //
 // Usage:
 //
@@ -13,18 +14,22 @@
 //	bespoke-prove prog.s [more.s]      # assembly files
 //
 // With -induct, the static invariant engine (internal/induct) first
-// infers and discharges reachable-state invariants by k-induction; the
-// per-claim proofs and the miter then consume those PROVED facts instead
-// of the dynamically recorded bus domains, and claims in the inductive
-// core are upgraded. -k caps the induction ladder depth, -invariants
-// prints the per-benchmark proved-invariant table, and -max-assumed N
-// fails the sweep (exit 1) when the total of assumed claims exceeds N —
-// the CI gate that keeps the assumption tail from regressing.
+// infers and discharges reachable-state invariants by k-induction, and
+// the dynamically recorded bus values are checked to lie inside them
+// (symexec.CompareDomains, a soundness tripwire); the per-claim proofs
+// and the miter then consume those PROVED facts instead of the recorded
+// bus domains, and claims in the inductive core are upgraded. -k caps
+// the induction ladder depth, -invariants prints the per-benchmark
+// proved-invariant table (the proofs' provenance records), and
+// -max-assumed N fails the sweep (exit 1) when the total of assumed
+// claims exceeds N — the CI gate that keeps the assumption tail from
+// regressing.
 //
 // The exit status is 0 when every claim is proved or explicitly assumed
 // and the miter holds, 1 when any claim is refuted, a miter fails, or
 // -max-assumed is exceeded, 2 on usage, flow or timeout errors. With
-// -timeout, partial progress made before the deadline is still reported.
+// -timeout, the claim tallies settled before the deadline are still
+// reported.
 package main
 
 import (
@@ -40,11 +45,8 @@ import (
 	"bespoke/internal/asm"
 	"bespoke/internal/bench"
 	"bespoke/internal/core"
-	"bespoke/internal/cut"
 	"bespoke/internal/equiv"
 	"bespoke/internal/induct"
-	"bespoke/internal/symexec"
-	"bespoke/internal/synth"
 )
 
 type target struct {
@@ -70,22 +72,14 @@ type result struct {
 	Error    string  `json:"error,omitempty"`
 
 	// Inductive strengthening summary (present with -induct).
-	K              int            `json:"induct_k,omitempty"`
-	Invariants     int            `json:"invariants,omitempty"`
-	InvariantsUsed int            `json:"invariants_used,omitempty"`
-	Candidates     int            `json:"induct_candidates,omitempty"`
-	InductRounds   int            `json:"induct_rounds,omitempty"`
-	InductQueries  int64          `json:"induct_queries,omitempty"`
-	InductConfl    int64          `json:"induct_conflicts,omitempty"`
-	InvariantTable []invariantRow `json:"invariant_table,omitempty"`
-}
-
-// invariantRow is one proved invariant with its per-claim-proof use count.
-type invariantRow struct {
-	Name  string `json:"name"`
-	K     int    `json:"k"`
-	Cubes int    `json:"cubes,omitempty"`
-	Used  int    `json:"used"`
+	K              int                      `json:"induct_k,omitempty"`
+	Invariants     int                      `json:"invariants,omitempty"`
+	InvariantsUsed int                      `json:"invariants_used,omitempty"`
+	Candidates     int                      `json:"induct_candidates,omitempty"`
+	InductRounds   int64                    `json:"induct_rounds,omitempty"`
+	InductQueries  int64                    `json:"induct_queries,omitempty"`
+	InductConfl    int64                    `json:"induct_conflicts,omitempty"`
+	InvariantTable []induct.InvariantRecord `json:"invariant_table,omitempty"`
 }
 
 func main() {
@@ -93,16 +87,12 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the results as JSON")
 	workers := flag.Int("workers", 0, "parallel proof workers (0 = all cores)")
 	budget := flag.Int64("budget", 0, "per-query conflict budget (0 = default)")
-	noMiter := flag.Bool("no-miter", false, "skip the base-vs-bespoke miter check")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = unlimited)")
 	useInduct := flag.Bool("induct", false, "infer and prove reachable-state invariants by k-induction; drop the dynamic-domain hypotheses")
 	kDepth := flag.Int("k", 0, "maximum induction ladder depth with -induct (0 = engine default)")
 	showInv := flag.Bool("invariants", false, "print the proved-invariant table per benchmark (implies -induct)")
 	maxAssumed := flag.Int("max-assumed", -1, "exit 1 when the sweep's total assumed claims exceed this (-1 = no gate)")
 	flag.Parse()
-	if *showInv {
-		*useInduct = true
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -116,40 +106,30 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := proveConfig{
-		opts:    equiv.Options{Workers: *workers, QueryBudget: *budget},
-		miter:   !*noMiter,
-		induct:  *useInduct,
-		inductK: *kDepth,
+	opts := core.Options{
+		ProveOpts: equiv.Options{Workers: *workers, QueryBudget: *budget},
+		Induct:    *useInduct || *showInv,
+		InductK:   *kDepth,
 	}
 	exit := 0
 	totalAssumed := 0
 	var results []result
 	for _, tg := range targets {
-		r := prove(ctx, tg, cfg)
+		r, code := prove(ctx, tg, opts)
 		results = append(results, r)
 		totalAssumed += r.Assumed
 		if !*jsonOut {
 			writeText(os.Stdout, r)
-			if *showInv && len(r.InvariantTable) > 0 {
+			if *showInv {
 				writeInvariants(os.Stdout, r)
 			}
 		}
-		if r.Refuted > 0 || (cfg.miter && r.Error == "" && !r.Miter) {
-			if exit < 1 {
-				exit = 1
-			}
-		}
-		if r.Error != "" || r.Timeout {
-			exit = 2
-		}
+		exit = max(exit, code)
 	}
 	if *maxAssumed >= 0 && totalAssumed > *maxAssumed {
 		fmt.Fprintf(os.Stderr, "bespoke-prove: %d claims assumed across the sweep, budget is %d\n",
 			totalAssumed, *maxAssumed)
-		if exit < 1 {
-			exit = 1
-		}
+		exit = max(exit, 1)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -194,70 +174,60 @@ func gather(benches string, files []string) ([]target, error) {
 	return targets, nil
 }
 
-// proveConfig bundles the per-target knobs of one sweep.
-type proveConfig struct {
-	opts    equiv.Options
-	miter   bool
-	induct  bool
-	inductK int
-}
-
-// prove runs the analysis, the per-claim proofs and (optionally) the
-// miter for one target. Errors and timeouts are folded into the result so
-// a sweep keeps going.
-func prove(ctx context.Context, tg target, cfg proveConfig) (r result) {
+// prove runs the flow's formal gate on one target and returns its row
+// with the target's exit status: 0 when the gate passes, 1 when it
+// rejects the design (a refuted claim or a failed miter), 2 on any other
+// error or a timeout. Errors are folded into the row so a sweep keeps
+// going; a timeout keeps the claim tallies settled before it.
+func prove(ctx context.Context, tg target, opts core.Options) (r result, code int) {
 	r = result{Name: tg.name}
 	start := time.Now()
 	defer func() { r.Ms = float64(time.Since(start).Microseconds()) / 1000 }()
 
-	res, c, err := symexec.Analyze(ctx, tg.prog, symexec.Options{RecordDomains: true})
-	if err != nil {
+	proofs, err := core.Prove(ctx, []*asm.Program{tg.prog}, opts)
+	var pe *equiv.ProofError
+	var le *equiv.LimitError
+	switch {
+	case err == nil:
+	case errors.As(err, &pe):
+		r.Refuted, r.Error = pe.Refuted, err.Error()
+		return r, 1
+	case errors.Is(err, core.ErrNotEquivalent):
 		r.Error = err.Error()
-		return r
-	}
-	env, err := equiv.NewCoreEnv(c, res)
-	if err != nil {
+		return r, 1
+	case errors.As(err, &le) && le.Report != nil:
+		r.Timeout = true
+		r.tally(le.Report)
+		return r, 2
+	default:
 		r.Error = err.Error()
-		return r
-	}
-	r.Claims = len(env.Claims)
-
-	if cfg.induct {
-		spec, serr := induct.NewCoreSpec(c, res, induct.DefaultSampleCycles)
-		if serr != nil {
-			r.Error = serr.Error()
-			return r
-		}
-		ires, ierr := induct.Prove(ctx, spec, env.Claims, induct.Options{
-			K:           cfg.inductK,
-			QueryBudget: cfg.opts.QueryBudget,
-		})
-		if ierr != nil {
-			r.Error = ierr.Error()
-			return r
-		}
-		env.Invariants = ires.Invariants
-		env.InductCore = ires.Core
-		r.K = ires.K
-		r.Invariants = len(ires.Invariants)
-		r.Candidates = ires.Candidates
-		r.InductRounds = ires.Rounds
-		r.InductQueries = ires.Queries
-		r.InductConfl = ires.Conflicts
+		return r, 2
 	}
 
-	rep, err := equiv.ProveClaims(ctx, env, cfg.opts)
-	if err != nil {
-		var le *equiv.LimitError
-		if errors.As(err, &le) && le.Report != nil {
-			// Partial progress: report what was decided before the abort.
-			r.Timeout = true
-			rep = le.Report
-		} else {
-			r.Error = err.Error()
-			return r
+	pr := proofs[0]
+	r.tally(pr.Claims)
+	r.Miter = pr.Miter.Equivalent
+	r.MiterObs = pr.Miter.Obligations
+	if is := pr.Induct; is != nil {
+		r.K = is.K
+		r.Invariants = is.Invariants
+		r.Candidates = is.Candidates
+		r.InductRounds = is.Queries // one solve per Houdini round
+		r.InductQueries = is.Queries
+		r.InductConfl = is.Conflicts
+		r.InvariantTable = is.Provenance.Invariants
+		for _, rec := range r.InvariantTable {
+			if rec.Used > 0 {
+				r.InvariantsUsed++
+			}
 		}
 	}
+	return r, 0
+}
+
+// tally copies a claim report's verdict counts into the row.
+func (r *result) tally(rep *equiv.Report) {
+	r.Claims = len(rep.Results)
 	r.Struct = rep.ProvedStructural
 	r.SAT = rep.ProvedSAT
 	r.Induct = rep.ProvedInduct
@@ -265,63 +235,24 @@ func prove(ctx context.Context, tg target, cfg proveConfig) (r result) {
 	r.Assumed = rep.Assumed
 	r.Refuted = rep.Refuted
 	r.Queries = rep.SATQueries
-	if cfg.induct {
-		use := rep.InvariantUse(len(env.Invariants))
-		for i := range env.Invariants {
-			iv := &env.Invariants[i]
-			r.InvariantTable = append(r.InvariantTable, invariantRow{
-				Name: iv.Name, K: iv.K, Cubes: len(iv.Cubes), Used: use[i],
-			})
-			if use[i] > 0 {
-				r.InvariantsUsed++
-			}
-		}
-	}
-
-	if !cfg.miter || r.Timeout || r.Refuted > 0 {
-		return r
-	}
-	bespoke := c.Clone()
-	if _, err := cut.Apply(bespoke.N, res.Toggled, res.ConstVal); err != nil {
-		r.Error = err.Error()
-		return r
-	}
-	keep := append(bespoke.ROM.Inputs(), bespoke.RAM.Inputs()...)
-	synth.Optimize(bespoke.N, keep)
-	mres, err := equiv.ProveMiter(ctx, env, bespoke.N, rep, cfg.opts)
-	if err != nil {
-		var le *equiv.LimitError
-		if errors.As(err, &le) {
-			r.Timeout = true
-			return r
-		}
-		r.Error = err.Error()
-		return r
-	}
-	r.Miter = mres.Equivalent
-	r.MiterObs = mres.Obligations
-	return r
 }
 
 func writeText(w *os.File, r result) {
 	if r.Error != "" {
-		fmt.Fprintf(w, "%-18s ERROR: %s\n", r.Name, r.Error)
+		label := "ERROR"
+		if r.Refuted > 0 {
+			label = "REFUTED"
+		}
+		fmt.Fprintf(w, "%-18s %s: %s\n", r.Name, label, r.Error)
 		return
 	}
 	status := "proved"
-	if r.Refuted > 0 {
-		status = "REFUTED"
-	} else if r.Timeout {
+	if r.Timeout {
 		status = "timeout (partial)"
-	} else if r.MiterObs > 0 && !r.Miter {
-		status = "MITER FAILED"
 	}
 	miter := "-"
 	if r.MiterObs > 0 {
 		miter = fmt.Sprintf("ok/%d", r.MiterObs)
-		if !r.Miter {
-			miter = fmt.Sprintf("FAIL/%d", r.MiterObs)
-		}
 	}
 	ind := ""
 	if r.K > 0 {
@@ -343,12 +274,6 @@ func writeInvariants(w *os.File, r result) {
 }
 
 func fatal(err error) {
-	var fe *core.FlowError
-	if errors.As(err, &fe) {
-		fmt.Fprintf(os.Stderr, "bespoke-prove: the %s stage failed\n", fe.Stage)
-		fmt.Fprintf(os.Stderr, "bespoke-prove:   %v\n", fe.Err)
-	} else {
-		fmt.Fprintln(os.Stderr, "bespoke-prove:", err)
-	}
+	fmt.Fprintln(os.Stderr, "bespoke-prove:", err)
 	os.Exit(2)
 }

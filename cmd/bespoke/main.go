@@ -126,19 +126,16 @@ func runCheck(ctx context.Context, updateFile string, baseFiles []string) error 
 		return fmt.Errorf("analyzing update: %w", err)
 	}
 
-	missingByModule := map[string]int{}
-	missing := 0
-	for g := range upd.Toggled {
-		if upd.Toggled[g] && !base.Toggled[g] {
-			missing++
-			missingByModule[c.N.ModuleOf(netlist.GateID(g))]++
-		}
-	}
-	if missing == 0 {
+	missing := base.Missing(upd)
+	if len(missing) == 0 {
 		fmt.Printf("SUPPORTED: %s uses only gates kept in the bespoke design for %v\n", updateFile, baseFiles)
 		return nil
 	}
-	fmt.Printf("NOT SUPPORTED: %s needs %d gates the bespoke design removed:\n", updateFile, missing)
+	missingByModule := map[string]int{}
+	for _, g := range missing {
+		missingByModule[c.N.ModuleOf(g)]++
+	}
+	fmt.Printf("NOT SUPPORTED: %s needs %d gates the bespoke design removed:\n", updateFile, len(missing))
 	mods := make([]string, 0, len(missingByModule))
 	for m := range missingByModule {
 		mods = append(mods, m)

@@ -164,27 +164,10 @@ func RunGate(b *Benchmark, seed uint64) (*core.RunTrace, error) { return b.RunGa
 // RunISAWorkload drives a prepared machine through a workload until the
 // halt convention.
 func RunISAWorkload(m *isasim.Machine, w *core.Workload) error {
-	if w != nil {
-		for a, v := range w.RAM {
-			m.LoadRAMWords(a, []uint16{v})
-		}
-	}
-	max := uint64(2_000_000)
-	if w != nil && w.MaxCycles != 0 {
-		max = w.MaxCycles
-	}
-	p1i, irqi := 0, 0
+	stim := w.Start(m)
+	max := w.Budget()
 	for !m.Halted {
-		if w != nil {
-			for p1i < len(w.P1) && w.P1[p1i].At <= m.Cycles {
-				m.P1In = w.P1[p1i].Value
-				p1i++
-			}
-			for irqi < len(w.IRQ) && w.IRQ[irqi].At <= m.Cycles {
-				m.SetIRQ(w.IRQ[irqi].Line, w.IRQ[irqi].Level)
-				irqi++
-			}
-		}
+		stim.Apply(m.Cycles)
 		if m.Cycles >= max {
 			return fmt.Errorf("bench: ISA run did not halt in %d cycles (pc=%#04x)", max, m.Regs[0])
 		}

@@ -100,7 +100,7 @@ func RandomCosim(ctx context.Context, b *bench.Benchmark, c *cpu.Core, n int, ba
 			if err := bench.RunISAWorkload(m, ws[l]); err != nil {
 				return fmt.Errorf("bitsim: golden ISA run (seed %#x): %w", seed, err)
 			}
-			if d := diffStreams(m.Out, lane.Out); d != "" {
+			if d := DiffStreams(m.Out, lane.Out); d != "" {
 				outs[bi].mismatches = append(outs[bi].mismatches, CosimMismatch{Seed: seed, Detail: d})
 			}
 		}
@@ -123,9 +123,11 @@ func RandomCosim(ctx context.Context, b *bench.Benchmark, c *cpu.Core, n int, ba
 	return rep, nil
 }
 
-// diffStreams describes the first difference between the golden and the
-// lane output stream, or returns "" when identical.
-func diffStreams(want, got []uint16) string {
+// DiffStreams describes the first difference between a golden output
+// stream and a run's, or returns "" when they are identical. Every
+// output comparison against a golden run (cosim, fault campaigns, mutant
+// checks) uses it.
+func DiffStreams(want, got []uint16) string {
 	for i := range want {
 		if i >= len(got) {
 			return fmt.Sprintf("output stream truncated at word %d (golden has %d words)", i, len(want))

@@ -19,9 +19,6 @@ import (
 	"bespoke/internal/netlist"
 )
 
-// haltWord is the testbench halt convention: an unconditional self-jump.
-const haltWord = 0x3FFF
-
 // LaneStatus classifies how a lane's run ended.
 type LaneStatus uint8
 
@@ -129,16 +126,27 @@ func (h *Harness) retire(l int, st LaneStatus, detail string) {
 	h.Lane[l].Detail = detail
 }
 
-// setP1Lane drives lane l of the P1 input port.
-func (h *Harness) setP1Lane(l int, v uint16) {
-	for i, id := range h.Core.P1In {
-		h.S.DriveLane(id, l, logic.V(v>>uint(i)&1))
+// lane is one lane of a harness as the core.Inputs its workload drives.
+type lane struct {
+	h *Harness
+	l int
+}
+
+// SetP1In drives the lane's P1 input port.
+func (ln lane) SetP1In(v uint16) {
+	for i, id := range ln.h.Core.P1In {
+		ln.h.S.DriveLane(id, ln.l, logic.V(v>>uint(i)&1))
 	}
 }
 
-// setIRQLane drives lane l of external interrupt line i.
-func (h *Harness) setIRQLane(l, line int, level bool) {
-	h.S.DriveLane(h.Core.IRQ[line], l, logic.FromBool(level))
+// SetIRQ drives the lane's external interrupt line.
+func (ln lane) SetIRQ(line int, level bool) {
+	ln.h.S.DriveLane(ln.h.Core.IRQ[line], ln.l, logic.FromBool(level))
+}
+
+// SetRAMWord writes the lane's data-RAM word at byte address addr.
+func (ln lane) SetRAMWord(addr, v uint16) {
+	ln.h.RAM.SetLaneWord(ln.l, (addr-msp430.RAMStart)/2, logic.KnownWord(v))
 }
 
 // sampleOut appends the OUTPORT word on every live lane whose write
@@ -208,7 +216,7 @@ func (h *Harness) checkHalt() {
 		if !msp430.InROM(pcv) {
 			continue
 		}
-		if h.ROM.LaneWord(l, (pcv-msp430.ROMStart)/2) != haltWord {
+		if h.ROM.LaneWord(l, (pcv-msp430.ROMStart)/2) != msp430.HaltWord {
 			continue
 		}
 		if irqZero>>uint(l)&1 == 0 {
@@ -260,23 +268,14 @@ func (h *Harness) Run(ctx context.Context, ws []*core.Workload, hook func(*Harne
 	h.cycles = 0
 
 	maxC := make([]uint64, h.n)
-	p1i := make([]int, h.n)
-	irqi := make([]int, h.n)
+	stim := make([]*core.Stimulus, h.n)
 	for l := 0; l < h.n; l++ {
-		maxC[l] = 2_000_000
 		var w *core.Workload
 		if l < len(ws) {
 			w = ws[l]
 		}
-		if w == nil {
-			continue
-		}
-		if w.MaxCycles != 0 {
-			maxC[l] = w.MaxCycles
-		}
-		for addr, v := range w.RAM {
-			h.RAM.SetLaneWord(l, (addr-msp430.RAMStart)/2, logic.KnownWord(v))
-		}
+		maxC[l] = w.Budget()
+		stim[l] = w.Start(lane{h, l})
 	}
 
 	for h.live != 0 {
@@ -287,17 +286,7 @@ func (h *Harness) Run(ctx context.Context, ws []*core.Workload, hook func(*Harne
 		}
 		for m := h.live; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			if l < len(ws) && ws[l] != nil {
-				w := ws[l]
-				for p1i[l] < len(w.P1) && w.P1[p1i[l]].At <= h.cycles {
-					h.setP1Lane(l, w.P1[p1i[l]].Value)
-					p1i[l]++
-				}
-				for irqi[l] < len(w.IRQ) && w.IRQ[irqi[l]].At <= h.cycles {
-					h.setIRQLane(l, w.IRQ[irqi[l]].Line, w.IRQ[irqi[l]].Level)
-					irqi[l]++
-				}
-			}
+			stim[l].Apply(h.cycles)
 			if h.cycles >= maxC[l] {
 				h.retire(l, LaneOverBudget,
 					fmt.Sprintf("workload did not halt in %d cycles", maxC[l]))

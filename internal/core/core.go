@@ -12,8 +12,9 @@
 //	signoff  := timing/Vmin (sta) and activity-based power (power)
 //
 // TailorMulti supports multiple target applications (the union of their
-// exercised gates), and TailorCoarse is the module-level baseline the
-// paper's Figure 12 compares against.
+// exercised gates), TailorCoarse is the module-level baseline the paper's
+// Figure 12 compares against, and Prove runs the flow up to and including
+// the formal gate, without placement or signoff.
 package core
 
 import (
@@ -28,7 +29,6 @@ import (
 	"bespoke/internal/equiv"
 	"bespoke/internal/layout"
 	"bespoke/internal/logic"
-	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/parallel"
 	"bespoke/internal/power"
@@ -58,8 +58,65 @@ type Workload struct {
 	// P1 and IRQ drive input pins at given cycles.
 	P1  []P1Step
 	IRQ []IRQStep
-	// MaxCycles bounds the run (default 2M).
+	// MaxCycles bounds the run (0: DefaultMaxCycles).
 	MaxCycles uint64
+}
+
+// DefaultMaxCycles bounds a workload run that sets no MaxCycles.
+const DefaultMaxCycles = 2_000_000
+
+// Budget returns the workload's cycle bound; a nil workload gets the
+// default.
+func (w *Workload) Budget() uint64 {
+	if w == nil || w.MaxCycles == 0 {
+		return DefaultMaxCycles
+	}
+	return w.MaxCycles
+}
+
+// Inputs is what a workload drives: the P1 port, the interrupt lines and,
+// before release, the data RAM (addr is a byte address). The gate-level
+// harness, the ISA model and each lane of the bit-parallel harness
+// implement it.
+type Inputs interface {
+	SetP1In(v uint16)
+	SetIRQ(line int, level bool)
+	SetRAMWord(addr, v uint16)
+}
+
+// Stimulus replays one workload's input schedule on one run.
+type Stimulus struct {
+	w       *Workload
+	in      Inputs
+	p1, irq int
+}
+
+// Start preloads the workload's RAM words into in and returns the
+// stimulus that drives its P1 and IRQ schedules there. A nil workload
+// drives nothing.
+func (w *Workload) Start(in Inputs) *Stimulus {
+	if w != nil {
+		for addr, v := range w.RAM {
+			in.SetRAMWord(addr, v)
+		}
+	}
+	return &Stimulus{w: w, in: in}
+}
+
+// Apply drives every scheduled step due by cycle (At <= cycle) that has
+// not been driven yet: the P1 steps, then the IRQ steps, each schedule
+// in slice order up to its first step not yet due.
+func (s *Stimulus) Apply(cycle uint64) {
+	w := s.w
+	if w == nil {
+		return
+	}
+	for ; s.p1 < len(w.P1) && w.P1[s.p1].At <= cycle; s.p1++ {
+		s.in.SetP1In(w.P1[s.p1].Value)
+	}
+	for ; s.irq < len(w.IRQ) && w.IRQ[s.irq].At <= cycle; s.irq++ {
+		s.in.SetIRQ(w.IRQ[s.irq].Line, w.IRQ[s.irq].Level)
+	}
 }
 
 // Options tunes the flow.
@@ -173,17 +230,9 @@ func RunWorkloadHooked(ctx context.Context, core *cpu.Core, prog *asm.Program, w
 	if err != nil {
 		return nil, stageErr(stage, netlist.None, err)
 	}
-	max := uint64(2_000_000)
-	if w != nil && w.MaxCycles != 0 {
-		max = w.MaxCycles
-	}
-	if w != nil {
-		for addr, v := range w.RAM {
-			core.RAM.SetWord((addr-msp430.RAMStart)/2, logic.KnownWord(v))
-		}
-	}
+	max := w.Budget()
+	stim := w.Start(h)
 	h.Sim.ResetToggleCounts()
-	p1i, irqi := 0, 0
 	for {
 		if h.Cycles&ctxCheckMask == 0 {
 			if cerr := ctx.Err(); cerr != nil {
@@ -191,16 +240,7 @@ func RunWorkloadHooked(ctx context.Context, core *cpu.Core, prog *asm.Program, w
 					fmt.Errorf("core: workload aborted at cycle %d: %w", h.Cycles, cerr))
 			}
 		}
-		if w != nil {
-			for p1i < len(w.P1) && w.P1[p1i].At <= h.Cycles {
-				h.SetP1In(w.P1[p1i].Value)
-				p1i++
-			}
-			for irqi < len(w.IRQ) && w.IRQ[irqi].At <= h.Cycles {
-				h.SetIRQ(w.IRQ[irqi].Line, w.IRQ[irqi].Level)
-				irqi++
-			}
-		}
+		stim.Apply(h.Cycles)
 		if h.Cycles >= max {
 			return nil, stageErr(stage, netlist.None,
 				fmt.Errorf("core: workload did not halt in %d cycles (pc=%#04x)", max, h.PCVal()))
@@ -219,14 +259,7 @@ func RunWorkloadHooked(ctx context.Context, core *cpu.Core, prog *asm.Program, w
 // halted implements the testbench halt convention: an unconditional
 // self-jump with interrupts unable to fire.
 func halted(core *cpu.Core, h *cpu.Harness) bool {
-	pc := h.PCVal()
-	if !msp430.InROM(pc) {
-		return false
-	}
-	if core.ROM.Words()[(pc-msp430.ROMStart)/2] != 0x3FFF {
-		return false
-	}
-	return h.Sim.Val[core.IrqTake] == logic.Zero
+	return core.HaltsAt(h.PCVal()) && h.Sim.Val[core.IrqTake] == logic.Zero
 }
 
 // blockPaths builds the STA macro arcs for the core's memories.
@@ -236,14 +269,6 @@ func blockPaths(core *cpu.Core) []sta.BlockPath {
 		{Ins: core.ROM.Inputs(), Outs: core.ROM.Outputs(), DelayPs: memAccessPs},
 		{Ins: core.RAM.Inputs(), Outs: core.RAM.Outputs(), DelayPs: memAccessPs},
 	}
-}
-
-// keepAlive lists the nets re-synthesis must preserve: memory macro pins.
-func keepAlive(core *cpu.Core) []netlist.GateID {
-	var keep []netlist.GateID
-	keep = append(keep, core.ROM.Inputs()...)
-	keep = append(keep, core.RAM.Inputs()...)
-	return keep
 }
 
 // measure runs signoff for one design point on its placement.
@@ -285,41 +310,38 @@ func TailorCoarse(ctx context.Context, prog *asm.Program, w *Workload, opts Opti
 	return tailor(ctx, []*asm.Program{prog}, []*Workload{w}, opts, true)
 }
 
+// Prove runs the flow's formal gate on its own, exactly as Tailor runs it
+// with Options.Prove set: the union analysis with recorded bus domains,
+// the cut and re-synthesis, the lint gate, then per program the claim
+// proofs and the base-vs-bespoke miter (Options.Induct first adds the
+// k-induction strengthening and its CompareDomains tripwire). It places
+// nothing and runs no signoff, so Lib, ClockPs and Resilience are
+// ignored. Every error is a *FlowError, as from Tailor.
+func Prove(ctx context.Context, progs []*asm.Program, opts Options) (proofs []ProofResult, err error) {
+	stage := "init"
+	defer guard(&stage, &err)
+	opts.Prove = true
+	baseline, union, err := analyze(ctx, progs, &opts, &stage)
+	if err != nil {
+		return nil, err
+	}
+	d, err := derive(ctx, baseline, union, progs, opts, false, &stage)
+	if err != nil {
+		return nil, err
+	}
+	return d.proofs, nil
+}
+
 func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Options, coarse bool) (res *Result, err error) {
 	stage := "init"
 	defer guard(&stage, &err)
-	if len(progs) == 0 {
-		return nil, stageErr(stage, netlist.None, fmt.Errorf("core: no programs"))
-	}
-	for i, p := range progs {
-		if p == nil {
-			return nil, stageErr(stage, netlist.None, fmt.Errorf("core: program %d is nil", i))
-		}
+	baseline, union, err := analyze(ctx, progs, &opts, &stage)
+	if err != nil {
+		return nil, err
 	}
 	lib := opts.Lib
 	if lib == nil {
 		lib = cells.TSMC65()
-	}
-	if opts.Induct {
-		opts.Prove = true
-	}
-	if opts.Prove {
-		opts.Sym.RecordDomains = true
-	}
-
-	// Gate activity analysis per program; the union of toggled gates
-	// must be retained (gate IDs align across builds: elaboration is
-	// deterministic).
-	baseline := cpu.Build()
-	baseline.LoadProgram(progs[0].Bytes, progs[0].Origin)
-
-	stage = "analysis"
-	union, err := UnionAnalysis(ctx, progs, opts.Sym)
-	if err != nil {
-		return nil, stageErr(stage, netlist.None, err)
-	}
-	if testHookAnalysis != nil {
-		testHookAnalysis(union)
 	}
 
 	// Baseline signoff. The clock is set so the baseline just meets
@@ -340,56 +362,11 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 		return nil, stageErr(stage, netlist.None, fmt.Errorf("baseline workload: %w", err))
 	}
 
-	// Cut and stitch on a clone.
-	stage = "cut"
-	bespoke := baseline.Clone()
-	toggled := union.Toggled
-	if coarse {
-		toggled = coarsen(bespoke.N, toggled)
-	}
-	cutStats, err := cut.Apply(bespoke.N, toggled, union.ConstVal)
+	d, err := derive(ctx, baseline, union, progs, opts, coarse, &stage)
 	if err != nil {
-		gate := netlist.None
-		var ge *cut.GateError
-		if errors.As(err, &ge) {
-			gate = ge.Gate
-		}
-		return nil, stageErr(stage, gate, err)
+		return nil, err
 	}
-	stage = "resynth"
-	synthStats := synth.Optimize(bespoke.N, keepAlive(bespoke))
-	if testHookPostSynth != nil {
-		testHookPostSynth(bespoke.N)
-	}
-
-	// Static gate: no netlist leaves the flow without passing lint. The
-	// dynamic signoff below can only catch defects the quick workload
-	// happens to toggle; the analyzers are input-independent.
-	stage = "lint"
-	if lerr := lintGate(ctx, bespoke); lerr != nil {
-		gate := netlist.None
-		var le *LintError
-		if errors.As(lerr, &le) {
-			gate = le.Gate()
-		}
-		return nil, stageErr(stage, gate, lerr)
-	}
-
-	// Formal gate: prove the recorded constants and the equivalence of
-	// the transformation before spending any signoff effort.
-	var proofs []ProofResult
-	if opts.Prove {
-		stage = "prove"
-		proofs, err = proveGate(ctx, bespoke, progs, union, opts)
-		if err != nil {
-			gate := netlist.None
-			var pe *equiv.ProofError
-			if errors.As(err, &pe) {
-				gate = pe.Gate
-			}
-			return nil, stageErr(stage, gate, err)
-		}
-	}
+	bespoke := d.core
 
 	stage = "bespoke-signoff"
 	besPlace := layout.Place(bespoke.N, lib)
@@ -425,9 +402,9 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 		Bespoke:       besMet,
 		BespokeAtVmin: pwVmin,
 		Analysis:      union,
-		CutStats:      cutStats,
-		SynthStats:    synthStats,
-		Proofs:        proofs,
+		CutStats:      d.cutStats,
+		SynthStats:    d.synthStats,
+		Proofs:        d.proofs,
 		Resilience:    resil,
 		BespokeCore:   bespoke,
 		BaselineCore:  baseline,
@@ -439,6 +416,129 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	return res, nil
 }
 
+// analyze validates the programs, normalizes opts (Induct implies Prove,
+// and Prove records the bus domains the prover needs) and runs the union
+// analysis. It returns the baseline core loaded with the first program.
+// *stage tracks the running stage for the caller's panic guard.
+func analyze(ctx context.Context, progs []*asm.Program, opts *Options, stage *string) (*cpu.Core, *symexec.Result, error) {
+	if len(progs) == 0 {
+		return nil, nil, stageErr(*stage, netlist.None, fmt.Errorf("core: no programs"))
+	}
+	for i, p := range progs {
+		if p == nil {
+			return nil, nil, stageErr(*stage, netlist.None, fmt.Errorf("core: program %d is nil", i))
+		}
+	}
+	if opts.Induct {
+		opts.Prove = true
+	}
+	if opts.Prove {
+		opts.Sym.RecordDomains = true
+	}
+
+	// Gate IDs align across builds (elaboration is deterministic), so
+	// the union analysis indexes the baseline's gates.
+	baseline := cpu.Build()
+	baseline.LoadProgram(progs[0].Bytes, progs[0].Origin)
+
+	*stage = "analysis"
+	union, err := UnionAnalysis(ctx, progs, opts.Sym)
+	if err != nil {
+		return nil, nil, stageErr(*stage, netlist.None, err)
+	}
+	if testHookAnalysis != nil {
+		testHookAnalysis(union)
+	}
+	return baseline, union, nil
+}
+
+// derived is the bespoke design the flow derives from the baseline,
+// before placement and signoff.
+type derived struct {
+	core       *cpu.Core
+	cutStats   cut.Stats
+	synthStats synth.Stats
+	// proofs holds the formal gate's per-program outcomes (nil unless
+	// Options.Prove).
+	proofs []ProofResult
+}
+
+// derive cuts and re-synthesizes a clone of the baseline per the union
+// analysis (widened to whole modules when coarse), then holds it to the
+// lint gate and, with opts.Prove, to the formal gate. *stage tracks the
+// running stage for the caller's panic guard.
+func derive(ctx context.Context, baseline *cpu.Core, union *symexec.Result, progs []*asm.Program, opts Options, coarse bool, stage *string) (*derived, error) {
+	*stage = "cut"
+	d := &derived{core: baseline.Clone()}
+	toggled := union.Toggled
+	if coarse {
+		toggled = coarsen(d.core.N, toggled)
+	}
+	var err error
+	d.cutStats, d.synthStats, err = CutAndResynthesize(d.core, toggled, union.ConstVal)
+	if err != nil {
+		gate := netlist.None
+		var ge *cut.GateError
+		if errors.As(err, &ge) {
+			gate = ge.Gate
+		}
+		return nil, stageErr(*stage, gate, err)
+	}
+	if testHookPostSynth != nil {
+		testHookPostSynth(d.core.N)
+	}
+
+	// Static gate: no netlist leaves the flow without passing lint. The
+	// dynamic signoff can only catch defects the quick workload happens
+	// to toggle; the analyzers are input-independent.
+	*stage = "lint"
+	if err := lintGate(ctx, d.core); err != nil {
+		gate := netlist.None
+		var le *LintError
+		if errors.As(err, &le) {
+			gate = le.Gate()
+		}
+		return nil, stageErr(*stage, gate, err)
+	}
+
+	// Formal gate: prove the recorded constants and the equivalence of
+	// the transformation before spending any signoff effort.
+	if opts.Prove {
+		*stage = "prove"
+		d.proofs, err = proveGate(ctx, d.core, progs, union, opts)
+		if err != nil {
+			gate := netlist.None
+			var pe *equiv.ProofError
+			if errors.As(err, &pe) {
+				gate = pe.Gate
+			}
+			return nil, stageErr(*stage, gate, err)
+		}
+	}
+	return d, nil
+}
+
+// CutAndResynthesize is the flow's netlist transformation, applied to c in
+// place: remove every gate toggled marks untoggleable and stitch its
+// constant from constVal into the fanout (cut.Apply), then fold constants
+// and drop floating logic with the memory-macro pins kept alive
+// (synth.Optimize).
+func CutAndResynthesize(c *cpu.Core, toggled []bool, constVal []logic.V) (cut.Stats, synth.Stats, error) {
+	cs, err := cut.Apply(c.N, toggled, constVal)
+	if err != nil {
+		return cs, synth.Stats{}, err
+	}
+	return cs, synth.Optimize(c.N, keepAlive(c)), nil
+}
+
+// keepAlive lists the nets re-synthesis must preserve: memory macro pins.
+func keepAlive(core *cpu.Core) []netlist.GateID {
+	var keep []netlist.GateID
+	keep = append(keep, core.ROM.Inputs()...)
+	keep = append(keep, core.RAM.Inputs()...)
+	return keep
+}
+
 func wsAt(ws []*Workload, i int) *Workload {
 	if i < len(ws) {
 		return ws[i]
@@ -447,14 +547,17 @@ func wsAt(ws []*Workload, i int) *Workload {
 }
 
 // UnionAnalysis runs the activity analysis for every program and returns
-// the union of toggleable gates (a gate survives if any program needs it).
-// The per-program analyses are independent and fan out across the shared
-// worker pool; the union is merged sequentially in program order, so the
-// result is deterministic. Panics from malformed programs are recovered
-// into a *FlowError.
+// their union (symexec.Result.Merge: a gate survives if any program needs
+// it). The per-program analyses are independent and fan out across the
+// shared worker pool; the union is merged sequentially in program order,
+// so the result is deterministic. Panics from malformed programs are
+// recovered into a *FlowError.
 func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Options) (union *symexec.Result, err error) {
 	stage := "analysis"
 	defer guard(&stage, &err)
+	if len(progs) == 0 {
+		return nil, fmt.Errorf("core: no programs")
+	}
 	analyses := make([]*symexec.Result, len(progs))
 	perr := parallel.ForEach(ctx, 0, len(progs), func(i int) error {
 		res, _, err := analyzeGuarded(ctx, progs[i], opts)
@@ -467,75 +570,11 @@ func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Optio
 	if perr != nil {
 		return nil, perr
 	}
-	for _, res := range analyses {
-		if union == nil {
-			union = res
-			continue
-		}
-		for i := range union.Toggled {
-			if res.Toggled[i] {
-				union.Toggled[i] = true
-			} else if !union.Toggled[i] && union.ConstVal[i] != res.ConstVal[i] {
-				// Untoggled in both but at different constants: the
-				// gate is static per application but not across them;
-				// it must be kept.
-				union.Toggled[i] = true
-			}
-		}
-		union.Paths += res.Paths
-		union.Cycles += res.Cycles
-		union.Merges += res.Merges
-		union.BusDomains = mergeDomains(union.BusDomains, res.BusDomains)
+	union = analyses[0]
+	for _, res := range analyses[1:] {
+		union.Merge(res)
 	}
 	return union, nil
-}
-
-// mergeDomains unions per-bus value sets across programs. The union of
-// over-approximations is an over-approximation of every program's
-// reachable set, so proofs under the merged domain stay sound for each
-// individual program.
-func mergeDomains(a, b []symexec.BusDomain) []symexec.BusDomain {
-	if len(a) == 0 {
-		return b
-	}
-	byName := make(map[string]int, len(a))
-	for i := range a {
-		byName[a[i].Name] = i
-	}
-	for _, d := range b {
-		i, ok := byName[d.Name]
-		if !ok {
-			a = append(a, d)
-			byName[d.Name] = len(a) - 1
-			continue
-		}
-		m := &a[i]
-		if d.Exceeded {
-			m.Exceeded = true
-		}
-		if m.Exceeded {
-			m.Words = nil
-			continue
-		}
-		seen := make(map[uint32]struct{}, len(m.Words))
-		for _, w := range m.Words {
-			seen[uint32(w.Val)|uint32(w.Mask)<<16] = struct{}{}
-		}
-		for _, w := range d.Words {
-			key := uint32(w.Val) | uint32(w.Mask)<<16
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			if len(m.Words) >= symexec.MaxDomainWords {
-				m.Exceeded = true
-				m.Words = nil
-				break
-			}
-			seen[key] = struct{}{}
-			m.Words = append(m.Words, w)
-		}
-	}
-	return a
 }
 
 // analyzeGuarded wraps one worker's symexec.Analyze call so a panic from

@@ -9,13 +9,13 @@ import (
 
 // FlowError is the structured failure of one pipeline stage. Every error
 // (and every recovered panic) leaving Tailor, TailorMulti, TailorCoarse,
-// UnionAnalysis or RunWorkload is a *FlowError, so a caller serving the
+// Prove, UnionAnalysis or RunWorkload is a *FlowError, so a caller serving the
 // flow — a CLI or a batching service — can report which stage failed and,
 // when known, which gate was involved, instead of crashing or printing an
 // opaque message.
 type FlowError struct {
 	// Stage names the pipeline stage that failed: "init", "analysis",
-	// "baseline-signoff", "cut", "resynth", "lint", "prove",
+	// "baseline-signoff", "cut" (cut and re-synthesis), "lint", "prove",
 	// "bespoke-signoff", "multi-check", "resilience", "vmin" or
 	// "workload".
 	Stage string

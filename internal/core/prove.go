@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -32,10 +33,11 @@ type InductSummary struct {
 	// prover; Core counts claims proved as members of the inductive core.
 	Invariants int
 	Core       int
-	// Candidates/Dropped mirror induct.Result.
+	// Candidates, Dropped, Queries and Conflicts mirror induct.Result.
 	Candidates int
 	Dropped    int
 	Queries    int64
+	Conflicts  int64 `json:",omitempty"`
 	// BudgetExhausted reports a level was abandoned on budget (sound:
 	// fewer invariants proved).
 	BudgetExhausted bool `json:",omitempty"`
@@ -43,6 +45,11 @@ type InductSummary struct {
 	// claim proofs used each one (base64 binary in JSON).
 	Provenance *induct.Provenance `json:",omitempty"`
 }
+
+// ErrNotEquivalent is the formal gate's verdict that a bespoke netlist
+// fails its miter against the baseline; the gate's error wraps it with the
+// first mismatching obligation.
+var ErrNotEquivalent = errors.New("bespoke netlist is not equivalent to the baseline")
 
 // proveGate discharges the flow's formal obligations: for every target
 // program, prove each cut constant implied by the proof environment (or
@@ -84,8 +91,7 @@ func proveGate(ctx context.Context, bespoke *cpu.Core, progs []*asm.Program, uni
 			return nil, fmt.Errorf("program %d: %w", pi, err)
 		}
 		if !mres.Equivalent {
-			return nil, fmt.Errorf("program %d: bespoke netlist is not equivalent to the baseline (first mismatch at %s)",
-				pi, mres.Mismatch)
+			return nil, fmt.Errorf("program %d: %w (first mismatch at %s)", pi, ErrNotEquivalent, mres.Mismatch)
 		}
 		if isum != nil {
 			isum.Provenance = induct.BuildProvenance(env.Invariants, rep)
@@ -128,6 +134,7 @@ func strengthen(ctx context.Context, base *cpu.Core, union *symexec.Result, env 
 		Candidates:      ires.Candidates,
 		Dropped:         ires.Dropped,
 		Queries:         ires.Queries,
+		Conflicts:       ires.Conflicts,
 		BudgetExhausted: ires.BudgetExhausted,
 	}, nil
 }

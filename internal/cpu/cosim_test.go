@@ -18,7 +18,7 @@ func cosim(t *testing.T, src string, maxInsts int) (*Harness, *isasim.Machine) {
 		t.Fatal(err)
 	}
 	m := isasim.New(p.Bytes, p.Origin)
-	h, err := NewHarness(p.Bytes, p.Origin)
+	h, err := NewHarnessOn(Build(), p.Bytes, p.Origin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ isr0:   mov #0x55, r4
         .org 0xFFF6
         .word isr0
 `)
-	h, err := NewHarness(p.Bytes, p.Origin)
+	h, err := NewHarnessOn(Build(), p.Bytes, p.Origin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestCosimClockDivider(t *testing.T) {
         mov r4, &OUTPORT
         clr &BCSCTL
 ` + epilogue)
-	h, err := NewHarness(p.Bytes, p.Origin)
+	h, err := NewHarnessOn(Build(), p.Bytes, p.Origin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ isr0:   bic #0x10, 0(r1)    ; clear CPUOFF in the saved SR
         .org 0xFFF6
         .word isr0
 `)
-	h, err := NewHarness(p.Bytes, p.Origin)
+	h, err := NewHarnessOn(Build(), p.Bytes, p.Origin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,6 +155,12 @@ func (c *Core) LoadProgram(image []byte, loadAddr uint16) {
 	}
 }
 
+// HaltsAt reports whether pc addresses the halt self-jump
+// (msp430.HaltWord) in ROM; an address outside ROM never halts.
+func (c *Core) HaltsAt(pc uint16) bool {
+	return msp430.InROM(pc) && c.ROM.Words()[(pc-msp430.ROMStart)/2] == msp430.HaltWord
+}
+
 // Clone returns a core over a deep-copied netlist with independent
 // memory macros; the bespoke flow cuts the clone while the baseline stays
 // intact. Gate IDs are preserved, so analysis arrays and observation

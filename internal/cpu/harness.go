@@ -21,32 +21,10 @@ type Harness struct {
 	Cycles uint64
 }
 
-// NewHarness builds a fresh core (netlists are mutated by the bespoke
-// flow, so each harness gets its own), loads the image, and resets the
-// machine up to the first instruction boundary.
-func NewHarness(image []byte, loadAddr uint16) (*Harness, error) {
-	core := Build()
-	core.LoadProgram(image, loadAddr)
-	s, err := core.NewSim()
-	if err != nil {
-		return nil, err
-	}
-	h := &Harness{Core: core, Sim: s}
-	s.Reset()
-	for i := range core.IRQ {
-		s.Drive(core.IRQ[i], logic.Zero)
-	}
-	s.DriveBus(core.P1In, logic.KnownWord(0))
-	// One cycle of stRESET loads PC from the reset vector.
-	h.stepCycle()
-	if st := h.State(); st != stFETCH {
-		return nil, fmt.Errorf("cpu: expected FETCH after reset, in state %d", st)
-	}
-	h.Cycles = 0
-	return h, nil
-}
-
-// NewHarnessOn is NewHarness over an existing (possibly bespoke) core.
+// NewHarnessOn loads the image into core's ROM and resets the machine up
+// to the first instruction boundary. The core may be the baseline
+// (Build) or a bespoke design; netlists are mutated by the bespoke flow,
+// so each harness wants its own core.
 func NewHarnessOn(core *Core, image []byte, loadAddr uint16) (*Harness, error) {
 	core.LoadProgram(image, loadAddr)
 	s, err := core.NewSim()
@@ -59,6 +37,7 @@ func NewHarnessOn(core *Core, image []byte, loadAddr uint16) (*Harness, error) {
 		s.Drive(core.IRQ[i], logic.Zero)
 	}
 	s.DriveBus(core.P1In, logic.KnownWord(0))
+	// One cycle of stRESET loads PC from the reset vector.
 	h.stepCycle()
 	if st := h.State(); st != stFETCH {
 		return nil, fmt.Errorf("cpu: expected FETCH after reset, in state %d", st)
@@ -135,6 +114,11 @@ func (h *Harness) SetP1In(v uint16) {
 // SetIRQ drives external interrupt line i.
 func (h *Harness) SetIRQ(i int, level bool) {
 	h.Sim.Drive(h.Core.IRQ[i], logic.FromBool(level))
+}
+
+// SetRAMWord writes a data-RAM word by byte address.
+func (h *Harness) SetRAMWord(addr, v uint16) {
+	h.Core.RAM.SetWord((addr-msp430.RAMStart)/2, logic.KnownWord(v))
 }
 
 // RAMWord reads a data-RAM word by byte address.

@@ -213,28 +213,16 @@ func EncodeRAMGate(f *Frame, spec RAMSpec) {
 }
 
 // encodeDomains constrains each recorded bus to its observed value set:
-// at least one cube per bus must hold. Exceeded or empty domains add no
-// constraint (unconstrained is always sound). These are the DYNAMIC
-// hypotheses of the legacy environment; with proved invariants present
+// at least one cube per bus must hold, encoded as the cube-set invariant
+// over the bus's bits. Exceeded or empty domains add no constraint
+// (unconstrained is always sound). These are the DYNAMIC hypotheses of
+// the legacy environment; with proved invariants present
 // (Env.Invariants) they are not encoded at all.
 func encodeDomains(f *Frame, domains []symexec.BusDomain) {
-	s := f.s
 	for _, d := range domains {
-		if d.Exceeded || len(d.Words) == 0 {
-			continue
+		if !d.Exceeded {
+			(&Invariant{Bits: d.Bits, Cubes: d.Words}).Encode(f)
 		}
-		sel := make([]sat.Lit, 0, len(d.Words))
-		for _, w := range d.Words {
-			c := s.NewVar()
-			sel = append(sel, sat.Pos(c))
-			for i, bit := range d.Bits {
-				if i >= 16 || w.Mask>>uint(i)&1 == 1 {
-					continue // X bit: unconstrained in this cube
-				}
-				s.AddClause(sat.Neg(c), sat.MkLit(f.vars[bit], w.Val>>uint(i)&1 == 0))
-			}
-		}
-		s.AddClause(sel...)
 	}
 }
 

@@ -429,25 +429,21 @@ func ProveClaims(ctx context.Context, env *Env, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// limitError wraps an aborted run's partial report with exact
-// bookkeeping: Proved+Assumed+Refuted+Remaining always equals the claim
-// count.
+// limitError wraps an aborted run's report (nil when there is none) with
+// exact bookkeeping: Proved+Assumed+Refuted+Remaining always equals the
+// claim count.
 func limitError(ctx context.Context, rep *Report, err error) *LimitError {
-	remaining := 0
+	le := &LimitError{Reason: ctxReason(ctx), Report: rep, Err: err}
+	if rep == nil {
+		return le
+	}
 	for _, cr := range rep.Results {
 		if cr.Verdict == Unproved {
-			remaining++
+			le.Remaining++
 		}
 	}
-	return &LimitError{
-		Reason:    ctxReason(ctx),
-		Proved:    rep.Proved(),
-		Assumed:   rep.Assumed,
-		Refuted:   rep.Refuted,
-		Remaining: remaining,
-		Report:    rep,
-		Err:       err,
-	}
+	le.Proved, le.Assumed, le.Refuted = rep.Proved(), rep.Assumed, rep.Refuted
+	return le
 }
 
 func checkEnv(env *Env) error {

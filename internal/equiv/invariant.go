@@ -147,40 +147,6 @@ func (iv *Invariant) Holds(val func(netlist.GateID) bool) bool {
 	return val(iv.To) == (iv.ToVal == logic.One)
 }
 
-// HoldsTernary evaluates the invariant over a ternary valuation,
-// returning false only on a definite violation (X bits count as
-// matching, the conservative direction for sample-based filtering).
-func (iv *Invariant) HoldsTernary(val func(netlist.GateID) logic.V) bool {
-	if iv.IsCube() {
-		for _, w := range iv.Cubes {
-			match := true
-			for i, bit := range iv.Bits {
-				if i >= 16 || w.Mask>>uint(i)&1 == 1 {
-					continue
-				}
-				bv := val(bit)
-				if bv == logic.X {
-					continue
-				}
-				if (bv == logic.One) != (w.Val>>uint(i)&1 == 1) {
-					match = false
-					break
-				}
-			}
-			if match {
-				return true
-			}
-		}
-		return false
-	}
-	fv := val(iv.From)
-	if fv == logic.X || fv != iv.FromVal {
-		return true
-	}
-	tv := val(iv.To)
-	return tv == logic.X || tv == iv.ToVal
-}
-
 // FormatInvariants renders a one-line-per-invariant table body.
 func FormatInvariants(invs []Invariant) string {
 	var b strings.Builder

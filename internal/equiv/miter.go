@@ -54,7 +54,8 @@ type obligation struct {
 // the claims ProveClaims classified Assumed; MiterResult.AssumedClaims
 // counts them.
 //
-// The context bounds the solve; cancellation aborts with a *LimitError.
+// The context bounds the solve; cancellation aborts with a *LimitError
+// that carries rep, whose claim verdicts are all settled.
 func ProveMiter(ctx context.Context, env *Env, bespoke *netlist.Netlist, rep *Report, opts Options) (*MiterResult, error) {
 	if err := checkEnv(env); err != nil {
 		return nil, err
@@ -179,7 +180,7 @@ func ProveMiter(ctx context.Context, env *Env, bespoke *netlist.Netlist, rep *Re
 	// satisfiable, otherwise "equivalent" would be vacuous.
 	st, err := s.Solve(ctx)
 	if err != nil {
-		return nil, &LimitError{Reason: ctxReason(ctx), Err: err}
+		return nil, limitError(ctx, rep, err)
 	}
 	if st == sat.Unsat {
 		return nil, fmt.Errorf("equiv: miter hypothesis is unsatisfiable (a claim contradicts the environment); run ProveClaims first")
@@ -194,7 +195,7 @@ func ProveMiter(ctx context.Context, env *Env, bespoke *netlist.Netlist, rep *Re
 	s.SetBudget(0)
 	st, err = s.Solve(ctx)
 	if err != nil {
-		return nil, &LimitError{Reason: ctxReason(ctx), Err: err}
+		return nil, limitError(ctx, rep, err)
 	}
 	res := &MiterResult{Obligations: len(obs), AssumedClaims: assumed, Invariants: len(env.Invariants)}
 	switch st {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bespoke/internal/bench"
+	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/multiprog"
 	"bespoke/internal/mutate"
@@ -124,8 +125,8 @@ func RunMutants(w io.Writer, quick bool) ([]MutantStudy, error) {
 		// The app-only bespoke design both validates the support claims
 		// dynamically (64 mutants per bit-parallel simulator pass) and is
 		// the Figure 14 baseline.
-		appDesign, err := cutUnion(app)
-		if err != nil {
+		appDesign := cpu.Build()
+		if _, _, err := core.CutAndResynthesize(appDesign, app.Toggled, app.ConstVal); err != nil {
 			return nil, err
 		}
 		sup, err := mutate.CheckSupport(context.Background(), b, app, muts, mutate.Options{
@@ -151,14 +152,14 @@ func RunMutants(w io.Writer, quick bool) ([]MutantStudy, error) {
 
 		// Figure 14: cut for the union and measure.
 		st := MutantStudy{Bench: b.Name, Support: sup}
-		mcore, err := cutUnion(sup.Union)
-		if err != nil {
+		mcore := cpu.Build()
+		if _, _, err := core.CutAndResynthesize(mcore, sup.Union.Toggled, sup.Union.ConstVal); err != nil {
 			return nil, err
 		}
 		baseCells := appCore.N.CellCount()
 		st.NormGates = float64(mcore.N.CellCount()) / float64(baseCells)
-		area, pw := staticMetrics(mcore)
-		baseArea, basePw := staticMetrics(cpu.Build())
+		area, pw := multiprog.StaticMetrics(mcore)
+		baseArea, basePw := multiprog.StaticMetrics(cpu.Build())
 		st.NormArea = area / baseArea
 		st.NormPower = pw / basePw
 		t14.AddRow(b.Name, fmt.Sprintf("%.2f", st.NormGates),

@@ -149,7 +149,7 @@ func injectBatch(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 	// The golden lane is the engine guard: any deviation from the scalar
 	// golden reference is a simulator bug, not a fault effect.
 	gl := h.Lane[0]
-	if gl.Status != bitsim.LaneHalted || gl.Cycles != g.Cycles || diffOuts(g.Out, gl.Out) != "" {
+	if gl.Status != bitsim.LaneHalted || gl.Cycles != g.Cycles || bitsim.DiffStreams(g.Out, gl.Out) != "" {
 		return fmt.Errorf("faultinject: golden lane diverged from the scalar reference (%s after %d cycles, golden halted at %d): batched engine bug",
 			gl.Status, gl.Cycles, g.Cycles)
 	}
@@ -160,7 +160,7 @@ func injectBatch(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 		var res Result
 		switch lane.Status {
 		case bitsim.LaneHalted:
-			switch d := diffOuts(g.Out, lane.Out); {
+			switch d := bitsim.DiffStreams(g.Out, lane.Out); {
 			case d != "":
 				res = Result{Fault: f, Outcome: SDC, Detail: d}
 			case lane.Cycles != g.Cycles:

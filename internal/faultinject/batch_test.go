@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bespoke/internal/asm"
+	"bespoke/internal/bitsim"
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/logic"
@@ -122,7 +123,7 @@ func injectOne(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Work
 		}
 		return Result{Fault: f, Outcome: Hang, Detail: truncate(detail)}, nil
 	}
-	if d := diffOuts(g.Out, tr.Out); d != "" {
+	if d := bitsim.DiffStreams(g.Out, tr.Out); d != "" {
 		return Result{Fault: f, Outcome: SDC, Detail: d}, nil
 	}
 	if tr.Cycles != g.Cycles {

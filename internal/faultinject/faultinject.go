@@ -38,6 +38,7 @@ import (
 
 	"bespoke/internal/asm"
 	"bespoke/internal/bench"
+	"bespoke/internal/bitsim"
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/isasim"
@@ -192,7 +193,7 @@ func GoldenRun(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Work
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: golden gate-level run: %w", err)
 	}
-	if d := diffOuts(m.Out, tr.Out); d != "" {
+	if d := bitsim.DiffStreams(m.Out, tr.Out); d != "" {
 		return nil, fmt.Errorf("faultinject: golden models disagree before any fault: %s", d)
 	}
 	return &Golden{Out: tr.Out, Cycles: tr.Cycles}, nil
@@ -561,23 +562,6 @@ func faultLess(a, b Fault) bool {
 		return b.Transient
 	}
 	return a.StuckAt < b.StuckAt
-}
-
-// diffOuts describes the first difference between two output streams, or
-// returns "" when they are identical.
-func diffOuts(want, got []uint16) string {
-	for i := range want {
-		if i >= len(got) {
-			return fmt.Sprintf("output stream truncated at word %d (golden has %d words)", i, len(want))
-		}
-		if want[i] != got[i] {
-			return fmt.Sprintf("out[%d] = %#04x, golden %#04x", i, got[i], want[i])
-		}
-	}
-	if len(got) > len(want) {
-		return fmt.Sprintf("output stream has %d extra words (golden has %d)", len(got)-len(want), len(want))
-	}
-	return ""
 }
 
 // sample deterministically picks max faults via a seeded Fisher-Yates

@@ -12,13 +12,13 @@ import (
 // claim sweep.
 type InvariantRecord struct {
 	// Name is the invariant's label ("r0#range", "g12=1->g40=0", ...).
-	Name string
+	Name string `json:"name"`
 	// K is the induction depth that discharged it.
-	K int
+	K int `json:"k"`
 	// Cubes is the cube count of a cube-set invariant (0: implication).
-	Cubes int
+	Cubes int `json:"cubes,omitempty"`
 	// Used counts claim proofs whose UNSAT core included the invariant.
-	Used int
+	Used int `json:"used"`
 }
 
 // Provenance is the audit trail persisted alongside a proof report: which

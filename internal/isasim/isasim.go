@@ -100,6 +100,9 @@ func (m *Machine) SetIRQ(i int, level bool) {
 	m.irqLine[i] = level
 }
 
+// SetP1In drives the P1 input port pins.
+func (m *Machine) SetP1In(v uint16) { m.P1In = v }
+
 func (m *Machine) readWordRaw(addr uint16) uint16 {
 	addr &^= 1
 	return uint16(m.Mem[addr]) | uint16(m.Mem[addr+1])<<8
@@ -820,12 +823,8 @@ func (m *Machine) Run(maxInsts uint64) error {
 	return fmt.Errorf("did not halt within %d instructions (pc=%#04x)", maxInsts, m.Regs[msp430.PC])
 }
 
-// LoadRAMWords copies words into RAM starting at addr (testbench inputs).
-func (m *Machine) LoadRAMWords(addr uint16, words []uint16) {
-	for i, w := range words {
-		m.writeWordRaw(addr+uint16(2*i), w)
-	}
-}
+// SetRAMWord writes a RAM word directly (testbench inputs).
+func (m *Machine) SetRAMWord(addr, v uint16) { m.writeWordRaw(addr, v) }
 
 // RAMWord reads a RAM word directly (testbench result checking).
 func (m *Machine) RAMWord(addr uint16) uint16 { return m.readWordRaw(addr) }

@@ -268,3 +268,8 @@ func InROM(addr uint16) bool { return addr >= ROMStart }
 
 // InRAM reports whether addr falls in data RAM.
 func InRAM(addr uint16) bool { return addr >= RAMStart && addr <= RAMEnd }
+
+// HaltWord encodes "jmp $" (offset -1), the testbench halt convention: a
+// run ends when the CPU fetches it from ROM with no interrupt able to
+// fire.
+const HaltWord uint16 = 0x3FFF

@@ -10,13 +10,12 @@ import (
 	"math/bits"
 
 	"bespoke/internal/cells"
+	"bespoke/internal/core"
 	"bespoke/internal/cpu"
-	"bespoke/internal/cut"
 	"bespoke/internal/layout"
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
 	"bespoke/internal/symexec"
-	"bespoke/internal/synth"
 )
 
 // bitset is a fixed-size gate set.
@@ -133,14 +132,7 @@ func unionResult(analyses []*symexec.Result, mask uint32) *symexec.Result {
 			}
 			continue
 		}
-		for g := range u.Toggled {
-			switch {
-			case a.Toggled[g]:
-				u.Toggled[g] = true
-			case !u.Toggled[g] && u.ConstVal[g] != a.ConstVal[g]:
-				u.Toggled[g] = true
-			}
-		}
+		u.Merge(a)
 	}
 	return u
 }
@@ -149,33 +141,23 @@ func unionResult(analyses []*symexec.Result, mask uint32) *symexec.Result {
 func CutForSubset(analyses []*symexec.Result, mask uint32) (*cpu.Core, error) {
 	u := unionResult(analyses, mask)
 	c := cpu.Build()
-	if _, err := cut.Apply(c.N, u.Toggled, u.ConstVal); err != nil {
+	if _, _, err := core.CutAndResynthesize(c, u.Toggled, u.ConstVal); err != nil {
 		return nil, err
 	}
-	var keep []netlist.GateID
-	keep = append(keep, c.ROM.Inputs()...)
-	keep = append(keep, c.RAM.Inputs()...)
-	synth.Optimize(c.N, keep)
 	return c, nil
 }
 
 // MeasureExtremes fills area and idle-power numbers (normalized to the
-// baseline design) for each range's extreme subsets. Power here is the
-// workload-independent component (leakage + clock tree), which is what
-// subsetting changes for a fixed application mix.
+// baseline design) for each range's extreme subsets.
 func MeasureExtremes(ranges []Range, analyses []*symexec.Result) ([]Range, error) {
-	lib := cells.TSMC65()
-	baseline := cpu.Build()
-	basePlace := layout.Place(baseline.N, lib)
-	baseStatic := staticPowerUW(baseline.N, lib, basePlace)
-
+	baseArea, basePower := StaticMetrics(cpu.Build())
 	measure := func(mask uint32) (area, pw float64, err error) {
 		c, err := CutForSubset(analyses, mask)
 		if err != nil {
 			return 0, 0, err
 		}
-		place := layout.Place(c.N, lib)
-		return place.AreaUm2 / basePlace.AreaUm2, staticPowerUW(c.N, lib, place) / baseStatic, nil
+		area, pw = StaticMetrics(c)
+		return area / baseArea, pw / basePower, nil
 	}
 	for i := range ranges {
 		var err error
@@ -189,12 +171,16 @@ func MeasureExtremes(ranges []Range, analyses []*symexec.Result) ([]Range, error
 	return ranges, nil
 }
 
-// staticPowerUW is leakage plus clock-tree power at nominal supply.
-func staticPowerUW(n *netlist.Netlist, lib *cells.Library, place *layout.Result) float64 {
+// StaticMetrics places a design and returns its area (um^2) and its
+// workload-independent power (uW): leakage plus the clock tree at
+// nominal supply, which is what subsetting changes for a fixed
+// application mix.
+func StaticMetrics(c *cpu.Core) (areaUm2, powerUW float64) {
+	lib := cells.TSMC65()
 	var leakNW float64
 	dffs := 0
-	for i := range n.Gates {
-		k := n.Gates[i].Kind
+	for i := range c.N.Gates {
+		k := c.N.Gates[i].Kind
 		switch k {
 		case netlist.Input, netlist.Const0, netlist.Const1:
 			continue
@@ -204,8 +190,7 @@ func staticPowerUW(n *netlist.Netlist, lib *cells.Library, place *layout.Result)
 			dffs++
 		}
 	}
-	_ = place
 	const fHz = 100e6
 	clkFJ := float64(dffs) * 1.0
-	return leakNW*1e-3 + clkFJ*fHz*1e-9
+	return layout.Place(c.N, lib).AreaUm2, leakNW*1e-3 + clkFJ*fHz*1e-9
 }

@@ -2,11 +2,14 @@ package multiprog
 
 import (
 	"context"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"bespoke/internal/bench"
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
+	"bespoke/internal/logic"
 	"bespoke/internal/symexec"
 )
 
@@ -96,6 +99,57 @@ func TestMeasureExtremes(t *testing.T) {
 		}
 		if r.MinPower <= 0 || r.MaxPower > 1.0 {
 			t.Errorf("N=%d: normalized powers out of range: %+v", r.N, r)
+		}
+	}
+}
+
+// TestGateRangesMatchUnionRule checks GateRanges' bitset form against the
+// shared union rule (symexec.Result.Merge) on every subset of four
+// synthetic programs whose untoggled gates disagree on constants often,
+// so the constant-conflict branch is exercised.
+func TestGateRangesMatchUnionRule(t *testing.T) {
+	const n, gates = 4, 300
+	rng := rand.New(rand.NewSource(1))
+	analyses := make([]*symexec.Result, n)
+	for i := range analyses {
+		r := &symexec.Result{Toggled: make([]bool, gates), ConstVal: make([]logic.V, gates)}
+		for g := range r.Toggled {
+			switch rng.Intn(3) {
+			case 0:
+				r.Toggled[g], r.ConstVal[g] = true, logic.X
+			case 1:
+				r.ConstVal[g] = logic.Zero
+			default:
+				r.ConstVal[g] = logic.One
+			}
+		}
+		analyses[i] = r
+	}
+	kept := func(mask uint32) int {
+		c := 0
+		for _, t := range unionResult(analyses, mask).Toggled {
+			if t {
+				c++
+			}
+		}
+		return c
+	}
+	ranges := GateRanges(analyses, gates)
+	for size := 1; size <= n; size++ {
+		lo, hi := gates+1, -1
+		for mask := uint32(1); mask < 1<<n; mask++ {
+			if bits.OnesCount32(mask) != size {
+				continue
+			}
+			c := kept(mask)
+			lo, hi = min(lo, c), max(hi, c)
+		}
+		r := ranges[size-1]
+		if r.MinGates != lo || r.MaxGates != hi {
+			t.Errorf("N=%d: GateRanges %d..%d, union rule %d..%d", size, r.MinGates, r.MaxGates, lo, hi)
+		}
+		if kept(r.MinSubset) != r.MinGates || kept(r.MaxSubset) != r.MaxGates {
+			t.Errorf("N=%d: extreme subsets %04b/%04b do not keep %d/%d gates", size, r.MinSubset, r.MaxSubset, r.MinGates, r.MaxGates)
 		}
 	}
 }

@@ -156,7 +156,7 @@ func cosimVerify(ctx context.Context, muts []*Mutant, supported []bool, cc *Cosi
 		}
 		for l, j := range jobs {
 			lane := h.Lane[l]
-			if lane.Status == bitsim.LaneHalted && equalOuts(j.golden, lane.Out) {
+			if lane.Status == bitsim.LaneHalted && bitsim.DiffStreams(j.golden, lane.Out) == "" {
 				verdicts[j.mi] = cosimMatch
 			} else {
 				verdicts[j.mi] = cosimMismatch
@@ -191,17 +191,4 @@ func cosimVerify(ctx context.Context, muts []*Mutant, supported []bool, cc *Cosi
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-// equalOuts reports whether two output streams are identical.
-func equalOuts(a, b []uint16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -5,11 +5,9 @@ import (
 	"testing"
 
 	"bespoke/internal/bench"
+	"bespoke/internal/core"
 	"bespoke/internal/cpu"
-	"bespoke/internal/cut"
-	"bespoke/internal/netlist"
 	"bespoke/internal/symexec"
-	"bespoke/internal/synth"
 )
 
 // appCut builds the app-only bespoke design (the cut the deployed
@@ -17,13 +15,9 @@ import (
 func appCut(t *testing.T, app *symexec.Result) *cpu.Core {
 	t.Helper()
 	c := cpu.Build()
-	if _, err := cut.Apply(c.N, app.Toggled, app.ConstVal); err != nil {
+	if _, _, err := core.CutAndResynthesize(c, app.Toggled, app.ConstVal); err != nil {
 		t.Fatal(err)
 	}
-	var keep []netlist.GateID
-	keep = append(keep, c.ROM.Inputs()...)
-	keep = append(keep, c.RAM.Inputs()...)
-	synth.Optimize(c.N, keep)
 	return c
 }
 

@@ -231,20 +231,8 @@ func CheckSupport(ctx context.Context, b *bench.Benchmark, app *symexec.Result, 
 			continue
 		}
 		res.MutantsAnalyzable++
-		supported[i] = true
-		for g, t := range mres.Toggled {
-			switch {
-			case t:
-				if !app.Toggled[g] {
-					supported[i] = false
-				}
-				union.Toggled[g] = true
-			case !union.Toggled[g] && union.ConstVal[g] != mres.ConstVal[g]:
-				// Static in both but at different constants: the gate
-				// must be kept in a mutant-supporting design.
-				union.Toggled[g] = true
-			}
-		}
+		supported[i] = len(app.Missing(mres)) == 0
+		union.Merge(mres)
 		if supported[i] {
 			res.Supported++
 			res.SupportedByType[m.Type]++

@@ -2,18 +2,17 @@ package netlist_test
 
 // The codec fuzzer lives in an external test package so the seed corpus
 // can include the real designs the cache stores: the elaborated base
-// core and a cut-and-resynthesized variant (importing cpu from inside
-// package netlist would be a cycle).
+// core and a cut-and-resynthesized variant (importing cpu or core from
+// inside package netlist would be a cycle).
 
 import (
 	"bytes"
 	"testing"
 
+	"bespoke/internal/core"
 	"bespoke/internal/cpu"
-	"bespoke/internal/cut"
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
-	"bespoke/internal/synth"
 )
 
 // FuzzDecode proves the binary codec is safe on hostile input: whatever
@@ -50,10 +49,9 @@ func FuzzDecode(f *testing.F) {
 			constVal[id] = logic.Zero
 		}
 	}
-	if _, err := cut.Apply(tailored.N, toggled, constVal); err != nil {
+	if _, _, err := core.CutAndResynthesize(tailored, toggled, constVal); err != nil {
 		f.Fatal(err)
 	}
-	synth.Optimize(tailored.N, append(tailored.ROM.Inputs(), tailored.RAM.Inputs()...))
 	f.Add(netlist.Encode(tailored.N))
 
 	// Malformed shapes: truncations, a flipped byte, bad magic, and a

@@ -18,7 +18,6 @@ import (
 	"bespoke/internal/cpu"
 	"bespoke/internal/layout"
 	"bespoke/internal/logic"
-	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/power"
 )
@@ -78,36 +77,17 @@ func Analyze(prog *asm.Program, w *core.Workload) (*Report, error) {
 	h.Sim.Tag = tags
 	h.Sim.TagTouched = make([]bool, len(names)+1)
 
-	if w != nil {
-		for addr, v := range w.RAM {
-			c.RAM.SetWord((addr-msp430.RAMStart)/2, logic.KnownWord(v))
-		}
-	}
+	stim := w.Start(h)
 	h.Sim.ResetToggleCounts()
 
 	idle := make([]uint64, len(names))
-	max := uint64(2_000_000)
-	if w != nil && w.MaxCycles != 0 {
-		max = w.MaxCycles
-	}
-	p1i, irqi := 0, 0
+	max := w.Budget()
 	for {
-		if w != nil {
-			for p1i < len(w.P1) && w.P1[p1i].At <= h.Cycles {
-				h.SetP1In(w.P1[p1i].Value)
-				p1i++
-			}
-			for irqi < len(w.IRQ) && w.IRQ[irqi].At <= h.Cycles {
-				h.SetIRQ(w.IRQ[irqi].Line, w.IRQ[irqi].Level)
-				irqi++
-			}
-		}
+		stim.Apply(h.Cycles)
 		if h.Cycles >= max {
 			return nil, fmt.Errorf("powergate: workload did not halt in %d cycles", max)
 		}
-		pc := h.PCVal()
-		if msp430.InROM(pc) && c.ROM.Words()[(pc-msp430.ROMStart)/2] == 0x3FFF &&
-			h.Sim.Val[c.IrqTake] == logic.Zero && h.State() == cpu.StateFETCH {
+		if c.HaltsAt(h.PCVal()) && h.Sim.Val[c.IrqTake] == logic.Zero && h.State() == cpu.StateFETCH {
 			break
 		}
 		for i := range h.Sim.TagTouched {

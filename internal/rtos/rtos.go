@@ -20,8 +20,6 @@ import (
 	"bespoke/internal/asm"
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
-	"bespoke/internal/logic"
-	"bespoke/internal/msp430"
 )
 
 // Task is one schedulable body. Code runs in an infinite task loop; it
@@ -188,24 +186,10 @@ func RunFor(prog *asm.Program, w *core.Workload, cycles uint64) (*core.RunTrace,
 	if err != nil {
 		return nil, err
 	}
-	if w != nil {
-		for addr, v := range w.RAM {
-			c.RAM.SetWord((addr-msp430.RAMStart)/2, logic.KnownWord(v))
-		}
-	}
+	stim := w.Start(h)
 	h.Sim.ResetToggleCounts()
-	p1i, irqi := 0, 0
 	for h.Cycles < cycles {
-		if w != nil {
-			for p1i < len(w.P1) && w.P1[p1i].At <= h.Cycles {
-				h.SetP1In(w.P1[p1i].Value)
-				p1i++
-			}
-			for irqi < len(w.IRQ) && w.IRQ[irqi].At <= h.Cycles {
-				h.SetIRQ(w.IRQ[irqi].Line, w.IRQ[irqi].Level)
-				irqi++
-			}
-		}
+		stim.Apply(h.Cycles)
 		h.StepCycle()
 	}
 	return &core.RunTrace{Out: h.Out, Cycles: h.Cycles, Toggles: append([]uint64(nil), h.Sim.ToggleCount...)}, nil

@@ -62,3 +62,51 @@ func compatible(a, b logic.Word) bool {
 	known := ^(a.Mask | b.Mask)
 	return (a.Val^b.Val)&known == 0
 }
+
+// mergeDomains unions per-bus value sets across programs. The union of
+// over-approximations is an over-approximation of every program's
+// reachable set, so proofs under the merged domain stay sound for each
+// individual program.
+func mergeDomains(a, b []BusDomain) []BusDomain {
+	if len(a) == 0 {
+		return b
+	}
+	byName := make(map[string]int, len(a))
+	for i := range a {
+		byName[a[i].Name] = i
+	}
+	for _, d := range b {
+		i, ok := byName[d.Name]
+		if !ok {
+			a = append(a, d)
+			byName[d.Name] = len(a) - 1
+			continue
+		}
+		m := &a[i]
+		if d.Exceeded {
+			m.Exceeded = true
+		}
+		if m.Exceeded {
+			m.Words = nil
+			continue
+		}
+		seen := make(map[uint32]struct{}, len(m.Words))
+		for _, w := range m.Words {
+			seen[uint32(w.Val)|uint32(w.Mask)<<16] = struct{}{}
+		}
+		for _, w := range d.Words {
+			key := uint32(w.Val) | uint32(w.Mask)<<16
+			if _, dup := seen[key]; dup {
+				continue
+			}
+			if len(m.Words) >= MaxDomainWords {
+				m.Exceeded = true
+				m.Words = nil
+				break
+			}
+			seen[key] = struct{}{}
+			m.Words = append(m.Words, w)
+		}
+	}
+	return a
+}

@@ -134,6 +134,38 @@ type Result struct {
 	BusDomains []BusDomain
 }
 
+// Merge folds another program's analysis into r under the paper's
+// Section 3.5 union rule for a multi-program design: a gate is kept
+// (Toggled) if either program toggles it, or if both hold it untoggled
+// but at different constants — static per program, not across them.
+// ConstVal keeps r's values, the statistics add up and the recorded bus
+// domains are unioned.
+func (r *Result) Merge(o *Result) {
+	for g := range r.Toggled {
+		if o.Toggled[g] || (!r.Toggled[g] && r.ConstVal[g] != o.ConstVal[g]) {
+			r.Toggled[g] = true
+		}
+	}
+	r.Paths += o.Paths
+	r.Cycles += o.Cycles
+	r.Merges += o.Merges
+	r.BusDomains = mergeDomains(r.BusDomains, o.BusDomains)
+}
+
+// Missing lists, in gate order, the gates an update's analysis toggles
+// that the design cut from r removed. It is the paper's Section 3.5
+// in-field update test: the bespoke design runs the update correctly iff
+// nothing is missing.
+func (r *Result) Missing(update *Result) []netlist.GateID {
+	var out []netlist.GateID
+	for g, t := range update.Toggled {
+		if t && !r.Toggled[g] {
+			out = append(out, netlist.GateID(g))
+		}
+	}
+	return out
+}
+
 // UntoggledCount returns the number of real cells that can never toggle.
 func (r *Result) UntoggledCount(n *netlist.Netlist) int {
 	c := 0
@@ -531,8 +563,7 @@ func (a *analyzer) atFetch() (done, forked bool, err error) {
 
 	// Halt convention: an unconditional self-jump with no interrupt
 	// that could ever fire.
-	word := a.core.ROM.Words()[(pc-msp430.ROMStart)/2]
-	if msp430.InROM(pc) && word == haltWord && take == logic.Zero {
+	if a.core.HaltsAt(pc) && take == logic.Zero {
 		return true, false, nil
 	}
 
@@ -625,9 +656,6 @@ func (a *analyzer) atFetch() (done, forked bool, err error) {
 	a.stack = append(a.stack, worlds...)
 	return false, true, nil
 }
-
-// haltWord is the encoding of "jmp $" (offset -1).
-const haltWord uint16 = 0x3FFF
 
 // atExec handles conditional-jump branch sites.
 func (a *analyzer) atExec() (done, forked bool, err error) {
