@@ -20,7 +20,6 @@ import (
 
 	"bespoke/internal/asm"
 	"bespoke/internal/core"
-	"bespoke/internal/symexec"
 )
 
 // Program is an assembled MSP430 binary image plus its metadata
@@ -37,7 +36,8 @@ type Workload = core.Workload
 // executable bespoke design.
 type Result = core.Result
 
-// Options tunes the flow (analysis limits, clock period, cell library).
+// Options tunes the flow (analysis limits, clock period, formal and
+// resilience gates).
 type Options = core.Options
 
 // FlowError is the structured failure of one pipeline stage. Every error
@@ -101,19 +101,11 @@ func SupportsUpdate(base []*Program, update *Program) (bool, error) {
 // the update), so a tuned MaxCycles or MergeThreshold applies to the whole
 // in-field update decision rather than only to the original tailoring.
 func SupportsUpdateContext(ctx context.Context, base []*Program, update *Program, opts Options) (bool, error) {
-	ba, err := core.UnionAnalysis(ctx, base, opts.Sym)
+	missing, _, err := core.UpdateMissing(ctx, base, update, opts.Sym)
 	if err != nil {
 		return false, err
 	}
-	// The second return (the freshly built core) is intentionally unused:
-	// the update decision is a pure set comparison over gate activity, and
-	// gate IDs align across builds because elaboration is deterministic —
-	// no netlist inspection is needed.
-	ua, _, err := symexec.Analyze(ctx, update, opts.Sym)
-	if err != nil {
-		return false, err
-	}
-	return len(ba.Missing(ua)) == 0, nil
+	return len(missing) == 0, nil
 }
 
 // WriteVerilog emits a result's bespoke netlist as structural Verilog.

@@ -109,4 +109,21 @@ func TestMalformedInputNoPanic(t *testing.T) {
 	if fe.Stage == "" {
 		t.Error("FlowError has no stage")
 	}
+
+	// A program image below ROM cannot be loaded: the update test fails
+	// with an error whichever side it is on.
+	low, err := Assemble(strings.Replace(tinyApp, ".org 0xF000", ".org 0x0200", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := Assemble(tinyApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SupportsUpdate([]*Program{app}, low); err == nil {
+		t.Error("an update below ROM was judged")
+	}
+	if _, err := SupportsUpdate([]*Program{low}, app); err == nil {
+		t.Error("an update against a base below ROM was judged")
+	}
 }

@@ -299,7 +299,9 @@ func multProof() (*equiv.Env, *induct.Spec, error) {
 		return nil, nil, err
 	}
 	base := cpu.Build()
-	base.LoadProgram(p.Bytes, p.Origin)
+	if err := base.LoadProgram(p.Bytes, p.Origin); err != nil {
+		return nil, nil, err
+	}
 	env, err := equiv.NewCoreEnv(base, res)
 	if err != nil {
 		return nil, nil, err

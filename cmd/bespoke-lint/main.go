@@ -9,16 +9,9 @@
 //	bespoke-lint prog.s [more.s] # tailor first, lint the bespoke core
 //	bespoke-lint -bench mult     # same, for an embedded Table 1 benchmark
 //	bespoke-lint -netlist f.nl   # lint a serialized netlist file
-//	bespoke-lint -netlist f.nl -fix  # also fold const residue in place
 //
-// Findings can be waived per module with .lintwaive files (see -waive);
-// a .lintwaive in the current directory is picked up automatically.
-// Waived findings are still printed, marked, but do not affect the exit
-// status.
-//
-// The exit status is 0 when the netlist is clean (or every finding is
-// waived), 1 when there are unwaived findings, 2 on usage or flow
-// errors.
+// The exit status is 0 when the netlist is clean, 1 when there are
+// findings, 2 on usage or flow errors.
 package main
 
 import (
@@ -44,8 +37,6 @@ func main() {
 	benches := flag.String("bench", "", "comma-separated Table 1 benchmark names to tailor and lint")
 	list := flag.Bool("list", false, "list the available analyzers and exit")
 	netFile := flag.String("netlist", "", "lint a serialized netlist file instead of building a core")
-	fix := flag.Bool("fix", false, "fold const-residue findings and rewrite -netlist in place")
-	waive := flag.String("waive", "", `comma-separated .lintwaive files (default: ./.lintwaive if present; "none" disables)`)
 	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = unlimited)")
 	flag.Parse()
 
@@ -54,9 +45,6 @@ func main() {
 			fmt.Println(name)
 		}
 		return
-	}
-	if *fix && *netFile == "" {
-		fatal(fmt.Errorf("-fix rewrites a netlist file in place and requires -netlist"))
 	}
 
 	ctx := context.Background()
@@ -70,20 +58,16 @@ func main() {
 	if *analyzers != "" {
 		cfg.Analyzers = strings.Split(*analyzers, ",")
 	}
-	waivers, err := loadWaivers(*waive)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Waivers = waivers
 
 	var (
 		target string
 		rep    *lint.Report
 		n      *netlist.Netlist
+		err    error
 	)
 	if *netFile != "" {
 		target = *netFile
-		n, rep, err = lintFile(ctx, *netFile, cfg, *fix)
+		n, rep, err = lintFile(ctx, *netFile, cfg)
 	} else {
 		var c *cpu.Core
 		target, c, err = buildTarget(ctx, *benches, flag.Args())
@@ -101,31 +85,14 @@ func main() {
 	} else {
 		writeText(os.Stdout, target, n, rep)
 	}
-	if len(rep.Findings) > rep.Waived {
+	if len(rep.Findings) > 0 {
 		os.Exit(1)
 	}
 }
 
-// loadWaivers resolves the -waive flag: explicit files, "none", or the
-// conventional ./.lintwaive when present.
-func loadWaivers(arg string) ([]lint.Waiver, error) {
-	switch arg {
-	case "none":
-		return nil, nil
-	case "":
-		if _, err := os.Stat(".lintwaive"); err != nil {
-			return nil, nil
-		}
-		return lint.LoadWaiverFiles(".lintwaive")
-	default:
-		return lint.LoadWaiverFiles(strings.Split(arg, ",")...)
-	}
-}
-
-// lintFile lints a serialized netlist, optionally folding const residue
-// and rewriting the file first. The file carries no core context, so no
-// keep-alive roots are assumed.
-func lintFile(ctx context.Context, path string, cfg lint.Config, fix bool) (*netlist.Netlist, *lint.Report, error) {
+// lintFile lints a serialized netlist. The file carries no core context,
+// so no keep-alive roots are assumed.
+func lintFile(ctx context.Context, path string, cfg lint.Config) (*netlist.Netlist, *lint.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -133,14 +100,6 @@ func lintFile(ctx context.Context, path string, cfg lint.Config, fix bool) (*net
 	n, err := netlist.Decode(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if fix {
-		if folded := lint.FoldConstResidue(n); folded > 0 {
-			if err := os.WriteFile(path, netlist.Encode(n), 0o644); err != nil {
-				return nil, nil, err
-			}
-			fmt.Fprintf(os.Stderr, "bespoke-lint: folded %d const-residue gate(s), rewrote %s\n", folded, path)
-		}
 	}
 	rep, err := lint.Run(ctx, n, cfg)
 	return n, rep, err
@@ -204,18 +163,11 @@ func writeText(w *os.File, target string, n *netlist.Netlist, rep *lint.Report) 
 		if f.Net != netlist.None {
 			loc += fmt.Sprintf(" net %d", f.Net)
 		}
-		waived := ""
-		if f.Waived {
-			waived = fmt.Sprintf(" (waived: %s)", f.WaiveReason)
-		}
-		fmt.Fprintf(w, "%s: %s:%s %s%s\n", f.Severity, f.Analyzer, loc, f.Detail, waived)
+		fmt.Fprintf(w, "%s: %s:%s %s\n", f.Severity, f.Analyzer, loc, f.Detail)
 	}
-	switch {
-	case len(rep.Findings) == 0:
+	if len(rep.Findings) == 0 {
 		fmt.Fprintln(w, "clean")
-	case rep.Waived > 0:
-		fmt.Fprintf(w, "%d findings (%d waived)\n", len(rep.Findings), rep.Waived)
-	default:
+	} else {
 		fmt.Fprintf(w, "%d findings\n", len(rep.Findings))
 	}
 }
@@ -223,34 +175,29 @@ func writeText(w *os.File, target string, n *netlist.Netlist, rep *lint.Report) 
 // jsonFinding mirrors lint.Finding with the severity as a string, so the
 // report is stable and readable for downstream tooling.
 type jsonFinding struct {
-	Analyzer    string `json:"analyzer"`
-	Severity    string `json:"severity"`
-	Gate        int32  `json:"gate"`
-	Net         int32  `json:"net"`
-	Detail      string `json:"detail"`
-	Waived      bool   `json:"waived,omitempty"`
-	WaiveReason string `json:"waive_reason,omitempty"`
+	Analyzer string `json:"analyzer"`
+	Severity string `json:"severity"`
+	Gate     int32  `json:"gate"`
+	Net      int32  `json:"net"`
+	Detail   string `json:"detail"`
 }
 
 type jsonReport struct {
 	Target   string        `json:"target"`
 	NumGates int           `json:"num_gates"`
 	Ran      []string      `json:"ran"`
-	Waived   int           `json:"waived"`
 	Findings []jsonFinding `json:"findings"`
 }
 
 func writeJSON(w *os.File, target string, rep *lint.Report) {
-	out := jsonReport{Target: target, NumGates: rep.NumGates, Ran: rep.Ran, Waived: rep.Waived, Findings: []jsonFinding{}}
+	out := jsonReport{Target: target, NumGates: rep.NumGates, Ran: rep.Ran, Findings: []jsonFinding{}}
 	for _, f := range rep.Findings {
 		out.Findings = append(out.Findings, jsonFinding{
-			Analyzer:    f.Analyzer,
-			Severity:    f.Severity.String(),
-			Gate:        int32(f.Gate),
-			Net:         int32(f.Net),
-			Detail:      f.Detail,
-			Waived:      f.Waived,
-			WaiveReason: f.WaiveReason,
+			Analyzer: f.Analyzer,
+			Severity: f.Severity.String(),
+			Gate:     int32(f.Gate),
+			Net:      int32(f.Net),
+			Detail:   f.Detail,
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -117,16 +117,10 @@ func runCheck(ctx context.Context, updateFile string, baseFiles []string) error 
 		return err
 	}
 
-	base, err := core.UnionAnalysis(ctx, progs, symexec.Options{})
+	missing, c, err := core.UpdateMissing(ctx, progs, update, symexec.Options{})
 	if err != nil {
 		return err
 	}
-	upd, c, err := symexec.Analyze(ctx, update, symexec.Options{})
-	if err != nil {
-		return fmt.Errorf("analyzing update: %w", err)
-	}
-
-	missing := base.Missing(upd)
 	if len(missing) == 0 {
 		fmt.Printf("SUPPORTED: %s uses only gates kept in the bespoke design for %v\n", updateFile, baseFiles)
 		return nil

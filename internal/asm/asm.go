@@ -50,15 +50,6 @@ type Program struct {
 	Source string
 }
 
-// ROMImage returns the image positioned for loading at msp430.ROMStart
-// (padding before Origin with zeros) and the load address.
-func (p *Program) ROMImage() ([]byte, uint16) {
-	if p.Origin < msp430.ROMStart {
-		return p.Bytes, p.Origin
-	}
-	return p.Bytes, p.Origin
-}
-
 // Word reads an assembled word at addr; it returns 0 outside the image.
 func (p *Program) Word(addr uint16) uint16 {
 	i := int(addr) - int(p.Origin)

@@ -556,9 +556,6 @@ func (s *Sim) ReadBusLane(bus []netlist.GateID, l int) logic.Word {
 	return w
 }
 
-// Dffs exposes the flip-flop ID ordering used by DffSnapshotLane.
-func (s *Sim) Dffs() []netlist.GateID { return s.dffs }
-
 // DffSnapshotLane captures lane l of every flip-flop in DffIDs order,
 // directly comparable with sim.DffSnapshot of a scalar run.
 func (s *Sim) DffSnapshotLane(l int, dst []logic.V) []logic.V {
@@ -584,6 +581,3 @@ func (s *Sim) DffDSnapshotPlanes(dst []W) []W {
 	}
 	return dst
 }
-
-// Blocks returns the attached behavioral blocks.
-func (s *Sim) Blocks() []Block { return s.blocks }

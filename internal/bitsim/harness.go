@@ -16,7 +16,6 @@ import (
 	"bespoke/internal/cpu"
 	"bespoke/internal/logic"
 	"bespoke/internal/msp430"
-	"bespoke/internal/netlist"
 )
 
 // LaneStatus classifies how a lane's run ended.
@@ -94,7 +93,9 @@ func NewHarness(c *cpu.Core, prog *asm.Program, n int) (*Harness, error) {
 	rom := NewROM(c.ROM)
 	ram := NewRAM(c.RAM)
 	if prog != nil {
-		rom.LoadProgram(prog.Bytes, prog.Origin, msp430.ROMStart)
+		if err := rom.LoadProgram(prog.Bytes, prog.Origin); err != nil {
+			return nil, err
+		}
 	}
 	s, err := New(c.N, rom, ram)
 	if err != nil {
@@ -107,9 +108,6 @@ func NewHarness(c *cpu.Core, prog *asm.Program, n int) (*Harness, error) {
 		pcPlanes: make([]W, len(c.Regs[msp430.PC])),
 	}, nil
 }
-
-// NumLanes returns the configured lane count.
-func (h *Harness) NumLanes() int { return h.n }
 
 // Cycles returns the batch's current cycle count (all live lanes run in
 // lockstep, so one counter serves every lane).
@@ -321,6 +319,3 @@ func (h *Harness) DffSnapshotLane(l int) []logic.V {
 	h.dffScr = h.S.DffSnapshotLane(l, h.dffScr)
 	return append([]logic.V(nil), h.dffScr...)
 }
-
-// Gate exposes the simulated netlist gate count (site validation).
-func (h *Harness) Gate(id netlist.GateID) *netlist.Gate { return &h.Core.N.Gates[id] }

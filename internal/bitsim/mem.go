@@ -12,6 +12,7 @@ package bitsim
 
 import (
 	"bespoke/internal/logic"
+	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/sim"
 )
@@ -30,9 +31,6 @@ func uniformKnown(w W) (logic.V, bool) {
 	}
 	return logic.X, false
 }
-
-// allX reports whether every lane of w is undefined.
-func allX(w W) bool { return w.D == 0 }
 
 // laneWord extracts lane l of a 16-bit bus whose planes are in p.
 func laneWord(p []W, l int) logic.Word {
@@ -78,31 +76,22 @@ func NewROM(scalar interface {
 }
 
 // LoadProgram writes an image into the shared base (all lanes that still
-// alias it), mirroring cpu.LoadProgram's byte packing.
-func (r *ROM) LoadProgram(image []byte, loadAddr, romStart uint16) {
-	loadInto(r.base, image, loadAddr, romStart)
+// alias it) with cpu.LoadProgram's byte packing (msp430.LoadROM).
+func (r *ROM) LoadProgram(image []byte, loadAddr uint16) error {
+	return msp430.LoadROM(r.base, image, loadAddr)
 }
 
 // LoadLaneProgram gives lane l a private copy of the base image with the
 // given program loaded over it (mutant packing: every lane runs its own
 // binary on the shared netlist).
-func (r *ROM) LoadLaneProgram(l int, image []byte, loadAddr, romStart uint16) {
+func (r *ROM) LoadLaneProgram(l int, image []byte, loadAddr uint16) error {
 	words := append([]uint16(nil), r.base...)
-	loadInto(words, image, loadAddr, romStart)
+	if err := msp430.LoadROM(words, image, loadAddr); err != nil {
+		return err
+	}
 	r.lanes[l] = words
 	r.uniform = false
-}
-
-func loadInto(words []uint16, image []byte, loadAddr, romStart uint16) {
-	for i := 0; i+1 < len(image); i += 2 {
-		a := loadAddr + uint16(i)
-		words[(a-romStart)/2] = uint16(image[i]) | uint16(image[i+1])<<8
-	}
-	if len(image)%2 == 1 {
-		a := loadAddr + uint16(len(image)) - 1
-		w := words[(a-romStart)/2]
-		words[(a-romStart)/2] = w&0xFF00 | uint16(image[len(image)-1])
-	}
+	return nil
 }
 
 // LaneWord returns word index i of lane l's image.

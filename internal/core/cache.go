@@ -185,12 +185,6 @@ func (tc *TailorCache) Tailor(ctx context.Context, prog *asm.Program, w *Workloa
 	return res, err
 }
 
-// TailorMulti is TailorMulti routed through the cache.
-func (tc *TailorCache) TailorMulti(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Options) (*Result, error) {
-	res, _, err := tc.TailorTraced(ctx, progs, ws, opts)
-	return res, err
-}
-
 // TailorTraced is TailorMulti through the cache, additionally reporting
 // where the result came from (memory, disk or a cold flow run). A
 // serving layer uses the Source to label responses and meter hit rates.
@@ -332,16 +326,11 @@ func (tc *TailorCache) insertLocked(ent *cacheEntry) {
 	}
 }
 
-// Key computes the content address of one flow input (see Key). Custom
-// cell libraries are not content-addressable, so they are rejected
-// rather than risking a false hit.
+// Key computes the content address of one flow input (see Key).
 func (tc *TailorCache) Key(progs []*asm.Program, ws []*Workload, opts Options) (Key, error) {
 	var zero Key
 	if len(progs) == 0 {
 		return zero, fmt.Errorf("core: no programs")
-	}
-	if opts.Lib != nil {
-		return zero, fmt.Errorf("core: TailorCache does not support custom cell libraries")
 	}
 	h := sha256.New()
 	h.Write(tc.baseBin)
@@ -361,7 +350,6 @@ func (tc *TailorCache) Key(progs []*asm.Program, ws []*Workload, opts Options) (
 		h.Write(p.Bytes)
 	}
 	u64(opts.Sym.MaxCycles)
-	u64(uint64(opts.Sym.WatchGate))
 	u64(uint64(opts.Sym.MergeThreshold))
 	u64(uint64(int64(opts.ClockPs * 1e3)))
 	// The formal gate changes the result (Proofs, and RecordDomains
@@ -396,7 +384,6 @@ func (tc *TailorCache) Key(progs []*asm.Program, ws []*Workload, opts Options) (
 		// neither enters the key.
 		u64(uint64(ro.Faults))
 		u64(ro.Seed)
-		u64(ro.MaxCycles)
 		u64(uint64(int64(ro.MaxVisible * 1e6)))
 	}
 
@@ -450,7 +437,9 @@ func (tc *TailorCache) rehydrate(ctx context.Context, ent *cacheEntry, prog *asm
 		return nil, fmt.Errorf("core: corrupt cached netlist: %w", err)
 	}
 	baseline := tc.template.Clone()
-	baseline.LoadProgram(prog.Bytes, prog.Origin)
+	if err := baseline.LoadProgram(prog.Bytes, prog.Origin); err != nil {
+		return nil, err
+	}
 
 	bespoke := tc.template.Clone()
 	if len(n.Gates) != len(bespoke.N.Gates) {
@@ -465,7 +454,9 @@ func (tc *TailorCache) rehydrate(ctx context.Context, ent *cacheEntry, prog *asm
 	bespoke.N.Inputs = n.Inputs
 	bespoke.N.Outputs = n.Outputs
 	bespoke.N.InvalidateDerived()
-	bespoke.LoadProgram(prog.Bytes, prog.Origin)
+	if err := bespoke.LoadProgram(prog.Bytes, prog.Origin); err != nil {
+		return nil, err
+	}
 
 	if lerr := lintGate(ctx, bespoke); lerr != nil {
 		gate := netlist.None

@@ -127,8 +127,6 @@ type Options struct {
 	// baseline's critical path (the baseline just meets timing, like a
 	// design synthesized for its target frequency).
 	ClockPs float64
-	// Lib overrides the cell library.
-	Lib *cells.Library
 	// Prove enables the formal gate: every cut constant must be proved
 	// implied by the proof environment (or recorded as assumed), and the
 	// bespoke netlist must be miter-equivalent to the baseline, for every
@@ -315,8 +313,8 @@ func TailorCoarse(ctx context.Context, prog *asm.Program, w *Workload, opts Opti
 // the cut and re-synthesis, the lint gate, then per program the claim
 // proofs and the base-vs-bespoke miter (Options.Induct first adds the
 // k-induction strengthening and its CompareDomains tripwire). It places
-// nothing and runs no signoff, so Lib, ClockPs and Resilience are
-// ignored. Every error is a *FlowError, as from Tailor.
+// nothing and runs no signoff, so ClockPs and Resilience are ignored.
+// Every error is a *FlowError, as from Tailor.
 func Prove(ctx context.Context, progs []*asm.Program, opts Options) (proofs []ProofResult, err error) {
 	stage := "init"
 	defer guard(&stage, &err)
@@ -339,10 +337,7 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	lib := opts.Lib
-	if lib == nil {
-		lib = cells.TSMC65()
-	}
+	lib := cells.TSMC65()
 
 	// Baseline signoff. The clock is set so the baseline just meets
 	// timing unless overridden. Each design is placed once: placement is
@@ -439,7 +434,9 @@ func analyze(ctx context.Context, progs []*asm.Program, opts *Options, stage *st
 	// Gate IDs align across builds (elaboration is deterministic), so
 	// the union analysis indexes the baseline's gates.
 	baseline := cpu.Build()
-	baseline.LoadProgram(progs[0].Bytes, progs[0].Origin)
+	if err := baseline.LoadProgram(progs[0].Bytes, progs[0].Origin); err != nil {
+		return nil, nil, stageErr(*stage, netlist.None, err)
+	}
 
 	*stage = "analysis"
 	union, err := UnionAnalysis(ctx, progs, opts.Sym)
@@ -575,6 +572,24 @@ func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Optio
 		union.Merge(res)
 	}
 	return union, nil
+}
+
+// UpdateMissing is the paper's Section 3.5 in-field update test: it
+// analyzes the base programs' union and the update, each under the
+// analysis panic guard, and returns the gates the update can exercise
+// that a design tailored to base removed (symexec.Result.Missing), in
+// gate order, with the core the update was analyzed on. The update is
+// supported iff nothing is missing.
+func UpdateMissing(ctx context.Context, base []*asm.Program, update *asm.Program, opts symexec.Options) ([]netlist.GateID, *cpu.Core, error) {
+	union, err := UnionAnalysis(ctx, base, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	upd, c, err := analyzeGuarded(ctx, update, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("analyzing update: %w", err)
+	}
+	return union.Missing(upd), c, nil
 }
 
 // analyzeGuarded wraps one worker's symexec.Analyze call so a panic from

@@ -87,9 +87,6 @@ func NewDiskTailorCache(dir string) (*DiskTailorCache, error) {
 	return dc, nil
 }
 
-// Dir returns the cache directory.
-func (dc *DiskTailorCache) Dir() string { return dc.dir }
-
 // Swept returns the number of orphaned temp files removed when the
 // cache was opened.
 func (dc *DiskTailorCache) Swept() int { return dc.swept }

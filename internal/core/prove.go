@@ -67,7 +67,9 @@ func proveGate(ctx context.Context, bespoke *cpu.Core, progs []*asm.Program, uni
 		// gate IDs align with the union analysis; only the ROM image
 		// differs.
 		base := cpu.Build()
-		base.LoadProgram(p.Bytes, p.Origin)
+		if err := base.LoadProgram(p.Bytes, p.Origin); err != nil {
+			return nil, fmt.Errorf("program %d: %w", pi, err)
+		}
 		env, err := equiv.NewCoreEnv(base, union)
 		if err != nil {
 			return nil, fmt.Errorf("program %d: %w", pi, err)

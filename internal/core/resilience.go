@@ -27,9 +27,6 @@ type ResilienceOptions struct {
 	Seed uint64
 	// Workers is the campaign fan-out width (0 = GOMAXPROCS).
 	Workers int
-	// MaxCycles bounds each faulty run (0 derives a bound from the
-	// golden run, so hung runs terminate).
-	MaxCycles uint64
 	// MaxVisible is the tolerated fraction (0, 1] of architecturally
 	// visible injections on the bespoke design. 0 means 1.0 (the
 	// campaign reports, and only a campaign failure aborts the flow);

@@ -130,9 +130,6 @@ func (c *Core) ObservedGates() []netlist.GateID {
 // PC returns the program counter flip-flop nets.
 func (c *Core) PC() builder.Bus { return c.Regs[msp430.PC] }
 
-// SP returns the stack pointer flip-flop nets.
-func (c *Core) SP() builder.Bus { return c.Regs[msp430.SP] }
-
 // SR returns the status register flip-flop nets (9 bits).
 func (c *Core) SR() builder.Bus { return c.Regs[msp430.SR] }
 
@@ -141,18 +138,10 @@ func (c *Core) NewSim() (*sim.Sim, error) {
 	return sim.New(c.N, c.ROM, c.RAM)
 }
 
-// LoadProgram copies a binary image into ROM.
-func (c *Core) LoadProgram(image []byte, loadAddr uint16) {
-	words := c.ROM.Words()
-	for i := 0; i+1 < len(image); i += 2 {
-		a := loadAddr + uint16(i)
-		words[(a-msp430.ROMStart)/2] = uint16(image[i]) | uint16(image[i+1])<<8
-	}
-	if len(image)%2 == 1 {
-		a := loadAddr + uint16(len(image)) - 1
-		w := words[(a-msp430.ROMStart)/2]
-		words[(a-msp430.ROMStart)/2] = w&0xFF00 | uint16(image[len(image)-1])
-	}
+// LoadProgram copies a binary image into ROM (msp430.LoadROM); an image
+// reaching outside ROM is an error and leaves the ROM unchanged.
+func (c *Core) LoadProgram(image []byte, loadAddr uint16) error {
+	return msp430.LoadROM(c.ROM.Words(), image, loadAddr)
 }
 
 // HaltsAt reports whether pc addresses the halt self-jump

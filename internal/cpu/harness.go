@@ -26,7 +26,9 @@ type Harness struct {
 // (Build) or a bespoke design; netlists are mutated by the bespoke flow,
 // so each harness wants its own core.
 func NewHarnessOn(core *Core, image []byte, loadAddr uint16) (*Harness, error) {
-	core.LoadProgram(image, loadAddr)
+	if err := core.LoadProgram(image, loadAddr); err != nil {
+		return nil, err
+	}
 	s, err := core.NewSim()
 	if err != nil {
 		return nil, err

@@ -209,7 +209,7 @@ func RunRTOS(w io.Writer) ([]RTOSStudy, error) {
 		{"OS + mac task", []rtos.Task{rtos.MacTask()}},
 	}
 	var out []RTOSStudy
-	var union []bool
+	var union *symexec.Result
 	var last *cpu.Core
 	t := report.NewTable("Section 5.4: System code (RTOS) gate usage", "Configuration", "Untoggleable gates")
 	for _, c := range cases {
@@ -226,17 +226,12 @@ func RunRTOS(w io.Writer) ([]RTOSStudy, error) {
 		out = append(out, RTOSStudy{Config: c.name, Untoggled: frac})
 		t.AddRow(c.name, report.Pct(frac))
 		if union == nil {
-			union = append([]bool(nil), res.Toggled...)
+			union = res
 		} else {
-			for g, tg := range res.Toggled {
-				if tg {
-					union[g] = true
-				}
-			}
+			union.Merge(res)
 		}
 	}
-	unionRes := &symexec.Result{Toggled: union}
-	allFrac := float64(unionRes.UntoggledCount(last.N)) / float64(last.N.CellCount())
+	allFrac := float64(union.UntoggledCount(last.N)) / float64(last.N.CellCount())
 	out = append(out, RTOSStudy{Config: "OS + all tasks (union)", Untoggled: allFrac})
 	t.AddRow("OS + all tasks (union)", report.Pct(allFrac))
 	t.Write(w)

@@ -124,13 +124,9 @@ func injectBatch(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 		}
 	}
 
-	maxC := opts.MaxCycles
-	if maxC == 0 {
-		maxC = 2*g.Cycles + 1024
-	}
 	ws := make([]*core.Workload, len(chunk)+1)
 	goldenW := core.Workload{}
-	faultW := core.Workload{MaxCycles: maxC}
+	faultW := core.Workload{MaxCycles: g.hangBound()}
 	if w != nil {
 		goldenW = *w
 		faultW.RAM, faultW.P1, faultW.IRQ = w.RAM, w.P1, w.IRQ

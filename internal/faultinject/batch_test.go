@@ -34,7 +34,7 @@ func scalarCampaign(t *testing.T, c *cpu.Core, prog *asm.Program, w *core.Worklo
 	err = parallel.ForEachState(ctx, opts.Workers, len(faults),
 		func(int) *cpu.Core { return c.Clone() },
 		func(clone *cpu.Core, i int) error {
-			res, err := injectOne(ctx, clone, prog, w, g, faults[i], opts)
+			res, err := injectOne(ctx, clone, prog, w, g, faults[i])
 			if err != nil {
 				return err
 			}
@@ -50,7 +50,7 @@ func scalarCampaign(t *testing.T, c *cpu.Core, prog *asm.Program, w *core.Worklo
 // injectOne runs one faulty execution on a private clone and classifies
 // it. Fault-induced failures (hangs, X-poisoned state) become divergent
 // outcomes; context errors abort the campaign.
-func injectOne(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, g *Golden, f Fault, opts Options) (Result, error) {
+func injectOne(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, g *Golden, f Fault) (Result, error) {
 	var hook func(h *cpu.Harness)
 	latched := false
 	switch {
@@ -103,11 +103,7 @@ func injectOne(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Work
 		}
 		defer restore()
 	}
-	max := opts.MaxCycles
-	if max == 0 {
-		max = 2*g.Cycles + 1024
-	}
-	bw := core.Workload{MaxCycles: max}
+	bw := core.Workload{MaxCycles: g.hangBound()}
 	if w != nil {
 		bw.RAM, bw.P1, bw.IRQ = w.RAM, w.P1, w.IRQ
 	}

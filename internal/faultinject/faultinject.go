@@ -166,9 +166,6 @@ type Options struct {
 	MaxFaults int
 	// Seed drives sampling and the SEU strike schedule.
 	Seed uint64
-	// MaxCycles bounds each faulty run. 0 derives a bound from the
-	// golden run (2x golden cycles + slack), so hung runs terminate.
-	MaxCycles uint64
 }
 
 // Golden is the fault-free reference behavior of one workload.
@@ -179,6 +176,10 @@ type Golden struct {
 	// Cycles is the clean gate-level run's cycle count.
 	Cycles uint64
 }
+
+// hangBound is the cycle budget of each faulty run: twice the golden
+// run's cycles plus slack, so a run a fault hangs terminates.
+func (g *Golden) hangBound() uint64 { return 2*g.Cycles + 1024 }
 
 // GoldenRun establishes the reference: the workload runs on the golden
 // ISA model and on a clean clone of the gate-level design, and the two
@@ -442,7 +443,7 @@ func TailorGate(ctx context.Context, base, bespoke *cpu.Core, prog *asm.Program,
 	if n <= 0 {
 		n = 64
 	}
-	opts := Options{Workers: ro.Workers, Seed: ro.Seed, MaxCycles: ro.MaxCycles}
+	opts := Options{Workers: ro.Workers, Seed: ro.Seed}
 	baseRep, err := SETCampaign(ctx, base, prog, w, n, opts)
 	if err != nil {
 		return nil, fmt.Errorf("baseline design: %w", err)

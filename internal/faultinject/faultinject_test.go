@@ -142,7 +142,9 @@ func TestCorruptConstantFlagged(t *testing.T) {
 
 	// Prong 2: XVerify on a design cut with the corrupted analysis.
 	bespoke := cpu.Build()
-	bespoke.LoadProgram(prog.Bytes, prog.Origin)
+	if err := bespoke.LoadProgram(prog.Bytes, prog.Origin); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cut.Apply(bespoke.N, bad.Toggled, bad.ConstVal); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +423,9 @@ func TestSitesShrink(t *testing.T) {
 	baseline := cpu.Build()
 	bc, bd := Sites(baseline.N)
 	bespoke := baseline.Clone()
-	bespoke.LoadProgram(prog.Bytes, prog.Origin)
+	if err := bespoke.LoadProgram(prog.Bytes, prog.Origin); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cut.Apply(bespoke.N, res.Toggled, res.ConstVal); err != nil {
 		t.Fatal(err)
 	}

@@ -302,7 +302,7 @@ func (e *engine) inferBusDomains(boot [][]logic.V) {
 			continue
 		}
 		add := func(tag string, cubes []logic.Word) {
-			if len(cubes) == 0 || len(cubes) > e.opts.maxCubes() {
+			if len(cubes) == 0 || len(cubes) > symexec.MaxDomainWords {
 				return
 			}
 			e.cands = append(e.cands, candidate{claim: -1, inv: equiv.Invariant{
@@ -320,7 +320,7 @@ func (e *engine) inferBusDomains(boot [][]logic.V) {
 			add("#range", intervalCubes(lo, hi))
 		}
 		if bus.Name == "ir" && e.spec.ROM != nil {
-			add("#image", imageWords(e.spec.ROM.Words, words, e.opts.maxCubes()))
+			add("#image", imageWords(e.spec.ROM.Words, words))
 		}
 	}
 }
@@ -395,7 +395,7 @@ func intervalCubes(lo, hi uint16) []logic.Word {
 // imageWords is the deduplicated value set of the program image plus the
 // recorded seed values (the reset value of the instruction register need
 // not be an image word).
-func imageWords(rom []uint16, seed []logic.Word, maxCubes int) []logic.Word {
+func imageWords(rom []uint16, seed []logic.Word) []logic.Word {
 	set := make(map[uint16]bool, len(rom))
 	for _, w := range rom {
 		set[w] = true
@@ -415,17 +415,18 @@ func imageWords(rom []uint16, seed []logic.Word, maxCubes int) []logic.Word {
 		}
 		out = append(out, w)
 	}
-	if len(out) > maxCubes {
-		return nil
-	}
 	return out
 }
+
+// maxImplications caps the pairwise implication candidates.
+const maxImplications = 2048
 
 // inferImplications proposes pairwise flip-flop implications a=va ->
 // b=vb. Antecedents range over control-bus bits, consequents over all
 // bus bits; a candidate must be consistent with every concrete sample
 // (X samples count as matching) and non-vacuous in them. Contrapositive
-// duplicates are canonicalized away and the total is capped.
+// duplicates are canonicalized away and the total is capped at
+// maxImplications.
 func (e *engine) inferImplications(claimed map[netlist.GateID]logic.V) {
 	ss := e.spec.Samples
 	if ss == nil || len(ss.Vals) == 0 {
@@ -503,7 +504,6 @@ func (e *engine) inferImplications(claimed map[netlist.GateID]logic.V) {
 		return n
 	}
 
-	limit := e.opts.maxImplications()
 	total := 0
 	for _, a := range ante {
 		for _, b := range cons {
@@ -520,7 +520,7 @@ func (e *engine) inferImplications(claimed map[netlist.GateID]logic.V) {
 					if count(a, b, va, !vb) != 0 || count(a, b, va, vb) == 0 {
 						continue // violated in samples, or vacuous
 					}
-					if total >= limit {
+					if total >= maxImplications {
 						return
 					}
 					total++

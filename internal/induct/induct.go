@@ -116,12 +116,6 @@ type Options struct {
 	// it abandons the current level (sound: fewer invariants proved).
 	// 0 means the default (500000).
 	QueryBudget int64
-	// MaxImplications caps the pairwise implication candidates
-	// (default 2048).
-	MaxImplications int
-	// MaxCubes skips value-set candidates wider than this many cubes
-	// (default 1024, symexec.MaxDomainWords).
-	MaxCubes int
 	// Trace, when non-nil, observes the Houdini ladder: it is called
 	// with "base-drop" (reset-reachable violation, permanent),
 	// "step-drop" (not inductive at this depth, retried deeper),
@@ -159,20 +153,6 @@ func (o Options) queryBudget() int64 {
 		return o.QueryBudget
 	}
 	return 500_000
-}
-
-func (o Options) maxImplications() int {
-	if o.MaxImplications > 0 {
-		return o.MaxImplications
-	}
-	return 2048
-}
-
-func (o Options) maxCubes() int {
-	if o.MaxCubes > 0 {
-		return o.MaxCubes
-	}
-	return symexec.MaxDomainWords
 }
 
 // Result is the outcome of Prove.

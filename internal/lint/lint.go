@@ -67,13 +67,6 @@ type Finding struct {
 	Net netlist.GateID
 	// Detail is a human-readable description.
 	Detail string
-	// Waived marks a finding covered by a Config.Waivers entry: still
-	// reported, but excluded from Max and AtLeast, so it no longer trips
-	// severity gates.
-	Waived bool
-	// WaiveReason is the justification recorded in the matching waiver
-	// (empty unless Waived).
-	WaiveReason string
 }
 
 // String renders the finding as one report line.
@@ -85,11 +78,7 @@ func (f Finding) String() string {
 	if f.Net != netlist.None {
 		loc += fmt.Sprintf(" net %d", f.Net)
 	}
-	s := fmt.Sprintf("%s: %s:%s: %s", f.Severity, f.Analyzer, loc, f.Detail)
-	if f.Waived {
-		s += fmt.Sprintf(" (waived: %s)", f.WaiveReason)
-	}
-	return s
+	return fmt.Sprintf("%s: %s:%s: %s", f.Severity, f.Analyzer, loc, f.Detail)
 }
 
 // Config selects and parameterizes the analyzers.
@@ -102,15 +91,8 @@ type Config struct {
 	// count as roots for liveness (dead-logic) and as readers (unread-
 	// output), exactly like the re-synthesis pass treats them.
 	KeepAlive []netlist.GateID
-	// Lib is the cell library to check kinds against; nil uses the
-	// default TSMC65-class library.
-	Lib *cells.Library
 	// Workers bounds the fan-out parallelism; 0 uses GOMAXPROCS.
 	Workers int
-	// Waivers suppresses matching findings per module (see Waiver and
-	// ParseWaivers). Waived findings stay in the report, marked, but do
-	// not count toward Max or AtLeast.
-	Waivers []Waiver
 }
 
 // Report is the outcome of one lint run.
@@ -123,32 +105,25 @@ type Report struct {
 	Ran []string
 	// NumGates is the size of the linted netlist.
 	NumGates int
-	// Waived counts the findings suppressed by Config.Waivers.
-	Waived int
 }
 
-// Max returns the highest severity among the non-waived findings, or
-// (Info, false) when every finding is waived or there are none at all.
+// Max returns the highest severity among the findings, or (Info, false)
+// when there are none.
 func (r *Report) Max() (Severity, bool) {
-	max, any := Info, false
+	max := Info
 	for _, f := range r.Findings {
-		if f.Waived {
-			continue
-		}
-		any = true
 		if f.Severity > max {
 			max = f.Severity
 		}
 	}
-	return max, any
+	return max, len(r.Findings) > 0
 }
 
-// AtLeast returns the non-waived findings with severity >= s,
-// preserving order.
+// AtLeast returns the findings with severity >= s, preserving order.
 func (r *Report) AtLeast(s Severity) []Finding {
 	var out []Finding
 	for _, f := range r.Findings {
-		if !f.Waived && f.Severity >= s {
+		if f.Severity >= s {
 			out = append(out, f)
 		}
 	}
@@ -208,10 +183,7 @@ func newDesign(n *netlist.Netlist, cfg *Config) *design {
 		fanout:    make([][]netlist.GateID, len(n.Gates)),
 		output:    make([]bool, len(n.Gates)),
 		keepAlive: make([]bool, len(n.Gates)),
-		lib:       cfg.Lib,
-	}
-	if d.lib == nil {
-		d.lib = cells.TSMC65()
+		lib:       cells.TSMC65(),
 	}
 	for i := range n.Gates {
 		g := &n.Gates[i]
@@ -268,21 +240,6 @@ func Run(ctx context.Context, n *netlist.Netlist, cfg Config) (*Report, error) {
 	for i, a := range selected {
 		rep.Ran = append(rep.Ran, a.name)
 		rep.Findings = append(rep.Findings, results[i]...)
-	}
-	for i := range rep.Findings {
-		f := &rep.Findings[i]
-		module := ""
-		if f.Gate != netlist.None && d.valid(f.Gate) {
-			module = n.ModuleOf(f.Gate)
-		}
-		for j := range cfg.Waivers {
-			if cfg.Waivers[j].matches(f, module) {
-				f.Waived = true
-				f.WaiveReason = cfg.Waivers[j].Reason
-				rep.Waived++
-				break
-			}
-		}
 	}
 	return rep, nil
 }

@@ -195,13 +195,3 @@ func Decode(fetch func(i int) uint16) (Inst, int, error) {
 	}
 	return Inst{}, 1, fmt.Errorf("illegal opcode word %#04x", w0)
 }
-
-// Words returns how many words in occupies when encoded, without
-// allocating the encoding.
-func Words(in Inst) int {
-	ws, err := Encode(in)
-	if err != nil {
-		return 1
-	}
-	return len(ws)
-}

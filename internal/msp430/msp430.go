@@ -269,6 +269,27 @@ func InROM(addr uint16) bool { return addr >= ROMStart }
 // InRAM reports whether addr falls in data RAM.
 func InRAM(addr uint16) bool { return addr >= RAMStart && addr <= RAMEnd }
 
+// LoadROM packs a program image loaded at loadAddr into rom, the ROM's
+// words from ROMStart up: byte i lands at address loadAddr+i, two bytes
+// per little-endian word, and an odd trailing byte replaces only the low
+// byte of its word. An image reaching outside rom is an error and leaves
+// rom unchanged.
+func LoadROM(rom []uint16, image []byte, loadAddr uint16) error {
+	off := int(loadAddr) - int(ROMStart) // byte offset into rom
+	if off < 0 || off+len(image) > 2*len(rom) {
+		return fmt.Errorf("msp430: %d-byte program image at %#04x does not fit ROM %#04x-%#04x",
+			len(image), loadAddr, ROMStart, int(ROMStart)+2*len(rom)-1)
+	}
+	for i := 0; i+1 < len(image); i += 2 {
+		rom[(off+i)/2] = uint16(image[i]) | uint16(image[i+1])<<8
+	}
+	if n := len(image); n%2 == 1 {
+		w := &rom[(off+n-1)/2]
+		*w = *w&0xFF00 | uint16(image[n-1])
+	}
+	return nil
+}
+
 // HaltWord encodes "jmp $" (offset -1), the testbench halt convention: a
 // run ends when the CPU fetches it from ROM with no interrupt able to
 // fire.

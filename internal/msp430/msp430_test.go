@@ -173,3 +173,37 @@ func TestInstString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// TestLoadROMRange packs images at the edges of ROM and rejects any
+// image with a byte outside it, leaving the ROM unchanged.
+func TestLoadROMRange(t *testing.T) {
+	rom := make([]uint16, ROMSize/2)
+	if err := LoadROM(rom, []byte{0x34, 0x12, 0x78, 0x56, 0xAB}, ROMStart); err != nil {
+		t.Fatal(err)
+	}
+	if rom[0] != 0x1234 || rom[1] != 0x5678 || rom[2] != 0x00AB {
+		t.Errorf("packed words = %#04x, want 0x1234 0x5678 0x00ab", rom[:3])
+	}
+	if err := LoadROM(rom, []byte{0xFF, 0x3F}, 0xFFFE); err != nil || rom[len(rom)-1] != 0x3FFF {
+		t.Errorf("last word: err %v, word %#04x", err, rom[len(rom)-1])
+	}
+	before := append([]uint16(nil), rom...)
+	for _, c := range []struct {
+		addr uint16
+		n    int
+	}{
+		{0x0200, 2},                // below ROM
+		{ROMStart - 2, 4},          // straddles the ROM start
+		{0xFFFE, 3},                // runs past 0xFFFF
+		{0x0200, 0x10000 - 0x0200}, // .org 0x0200 through the reset vector
+	} {
+		if err := LoadROM(rom, make([]byte, c.n), c.addr); err == nil {
+			t.Errorf("%d-byte image at %#04x loaded", c.n, c.addr)
+		}
+	}
+	for i := range rom {
+		if rom[i] != before[i] {
+			t.Fatalf("a rejected image changed word %d", i)
+		}
+	}
+}

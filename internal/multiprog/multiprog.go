@@ -36,11 +36,6 @@ func (b bitset) count() int {
 	}
 	return c
 }
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
 
 // Range is the min/max over all size-N subsets (Figure 13's intervals).
 type Range struct {

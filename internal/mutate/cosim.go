@@ -20,17 +20,17 @@ import (
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/isasim"
-	"bespoke/internal/msp430"
 	"bespoke/internal/parallel"
-	"bespoke/internal/symexec"
 )
+
+// mutantCycles bounds each mutant's symbolic analysis and each of its
+// concrete runs, ISA and gate-level alike: mutations can turn bounded
+// loops into 64K-iteration wraps, and a mutant over the budget counts as
+// unsupported (statically) or is skipped (dynamically).
+const mutantCycles = 400_000
 
 // Options tunes CheckSupport.
 type Options struct {
-	// Sym tunes the per-mutant symbolic analyses (the static support
-	// check). A zero MaxCycles defaults to 400k cycles, since mutations
-	// can turn bounded loops into 64K-iteration wraps.
-	Sym symexec.Options
 	// Cosim, when non-nil, adds the dynamic verification phase: every
 	// assemblable mutant is executed on the given design, 64 mutants per
 	// bit-parallel simulator pass, and compared against its own golden
@@ -46,12 +46,6 @@ type CosimCheck struct {
 	// Workload stimulates every mutant run (typically the benchmark's
 	// canonical workload).
 	Workload *core.Workload
-	// Workers bounds the batch fan-out (default GOMAXPROCS).
-	Workers int
-	// MaxCycles bounds each mutant run, ISA and gate-level alike
-	// (default 400k, the static phase's budget). Mutants whose golden
-	// ISA run does not halt within it are skipped, not failed.
-	MaxCycles uint64
 }
 
 // CosimReport summarizes the dynamic verification phase.
@@ -97,14 +91,15 @@ func cosimVerify(ctx context.Context, muts []*Mutant, supported []bool, cc *Cosi
 	if cc.Design == nil {
 		return nil, fmt.Errorf("mutate: cosim verification needs a design")
 	}
-	maxC := cc.MaxCycles
-	if maxC == 0 {
-		maxC = 400_000
-	}
 	start := time.Now()
+	// Every run, ISA and gate-level, reads this one workload.
+	w := core.Workload{MaxCycles: mutantCycles}
+	if cc.Workload != nil {
+		w.RAM, w.P1, w.IRQ = cc.Workload.RAM, cc.Workload.P1, cc.Workload.IRQ
+	}
 	verdicts := make([]cosimVerdict, len(muts))
 	nBatch := (len(muts) + bitsim.Lanes - 1) / bitsim.Lanes
-	err := parallel.ForEach(ctx, cc.Workers, nBatch, func(bi int) error {
+	err := parallel.ForEach(ctx, 0, nBatch, func(bi int) error {
 		lo := bi * bitsim.Lanes
 		hi := min(lo+bitsim.Lanes, len(muts))
 
@@ -122,10 +117,6 @@ func cosimVerify(ctx context.Context, muts []*Mutant, supported []bool, cc *Cosi
 				continue
 			}
 			m := isasim.New(p.Bytes, p.Origin)
-			w := core.Workload{MaxCycles: maxC}
-			if cc.Workload != nil {
-				w.RAM, w.P1, w.IRQ = cc.Workload.RAM, cc.Workload.P1, cc.Workload.IRQ
-			}
 			if err := bench.RunISAWorkload(m, &w); err != nil {
 				if cerr := ctx.Err(); cerr != nil {
 					return cerr
@@ -144,10 +135,8 @@ func cosimVerify(ctx context.Context, muts []*Mutant, supported []bool, cc *Cosi
 		}
 		ws := make([]*core.Workload, len(jobs))
 		for l, j := range jobs {
-			h.ROM.LoadLaneProgram(l, j.prog.Bytes, j.prog.Origin, msp430.ROMStart)
-			w := core.Workload{MaxCycles: maxC}
-			if cc.Workload != nil {
-				w.RAM, w.P1, w.IRQ = cc.Workload.RAM, cc.Workload.P1, cc.Workload.IRQ
+			if err := h.ROM.LoadLaneProgram(l, j.prog.Bytes, j.prog.Origin); err != nil {
+				return err
 			}
 			ws[l] = &w
 		}

@@ -183,12 +183,6 @@ type SupportResult struct {
 // cross-checks each against its own golden ISA run, confirming the
 // static verdicts dynamically (see CosimReport).
 func CheckSupport(ctx context.Context, b *bench.Benchmark, app *symexec.Result, muts []*Mutant, opts Options) (*SupportResult, error) {
-	sym := opts.Sym
-	if sym.MaxCycles == 0 {
-		// Mutations can turn bounded loops into 64K-iteration wraps;
-		// mutants that exceed the budget count as unsupported.
-		sym.MaxCycles = 400_000
-	}
 	union := &symexec.Result{
 		Toggled:  append([]bool(nil), app.Toggled...),
 		ConstVal: append([]logic.V(nil), app.ConstVal...),
@@ -209,7 +203,7 @@ func CheckSupport(ctx context.Context, b *bench.Benchmark, app *symexec.Result, 
 		if err != nil {
 			return nil
 		}
-		mres, _, err := symexec.Analyze(ctx, p, sym)
+		mres, _, err := symexec.Analyze(ctx, p, symexec.Options{MaxCycles: mutantCycles})
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr

@@ -209,9 +209,6 @@ func (n *Netlist) invalidate() {
 // gate edits (used by the cutting and re-synthesis passes).
 func (n *Netlist) InvalidateDerived() { n.invalidate() }
 
-// NumGates returns the number of gates (including const/input pseudo-cells).
-func (n *Netlist) NumGates() int { return len(n.Gates) }
-
 // CellCount returns the number of real cells, excluding Input ports and
 // constants, which occupy no silicon.
 func (n *Netlist) CellCount() int {

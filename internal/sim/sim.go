@@ -103,8 +103,8 @@ type Sim struct {
 	Active []bool
 	// ToggleCount counts concrete 0<->1 output transitions per gate.
 	// Counting is off by default; power-instrumented runs opt in with
-	// ResetToggleCounts (or TrackToggles), so the symbolic analysis does
-	// not pay for bookkeeping it never reads.
+	// ResetToggleCounts, so the symbolic analysis does not pay for
+	// bookkeeping it never reads.
 	ToggleCount []uint64
 	// Tag optionally groups gates (e.g. by module); when set, any value
 	// change on a gate marks TagTouched[Tag[gate]]. The observer owns
@@ -502,12 +502,6 @@ func (s *Sim) ResetActivity() {
 		s.Active[i] = s.Val[i] == logic.X
 	}
 }
-
-// TrackToggles switches concrete 0<->1 transition counting on or off.
-// Counting is off by default: only power-instrumented runs read
-// ToggleCount, and the guard keeps the symbolic analysis hot loop free
-// of the bookkeeping.
-func (s *Sim) TrackToggles(on bool) { s.countToggles = on }
 
 // ResetToggleCounts zeroes the concrete toggle counters and enables
 // counting: calling it is the power paths' explicit opt-in.

@@ -15,7 +15,9 @@ import (
 func TestRunWorldAllocsPooled(t *testing.T) {
 	p := asm.MustAssemble(prologue + epilogue)
 	core := cpu.Build()
-	core.LoadProgram(p.Bytes, p.Origin)
+	if err := core.LoadProgram(p.Bytes, p.Origin); err != nil {
+		t.Fatal(err)
+	}
 	a, err := newAnalyzer(context.Background(), core, Options{})
 	if err != nil {
 		t.Fatal(err)

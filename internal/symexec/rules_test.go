@@ -32,6 +32,24 @@ start:  mov #0x3FFF, &0x0800
 	}
 }
 
+// TestImageBelowROMIsAnError is the regression for a program assembled
+// below ROM: loading its image must fail the analysis with an error
+// instead of indexing the ROM with a wrapped address.
+func TestImageBelowROMIsAnError(t *testing.T) {
+	p, err := asm.Assemble(`
+        .org 0x0200
+start:  jmp start
+        .org 0xFFFE
+        .word start
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Analyze(context.Background(), p, Options{}); err == nil {
+		t.Fatal("a program image below ROM was analyzed")
+	}
+}
+
 // result builds a synthetic analysis: toggled gates are marked 'T',
 // untoggled ones carry their constant '0' or '1'.
 func result(gates string) *Result {

@@ -30,9 +30,6 @@ type Options struct {
 	// MaxCycles bounds total simulated cycles across all branches.
 	// 0 means the default (20M).
 	MaxCycles uint64
-	// WatchGate, when nonzero, aborts with a diagnostic the first time
-	// that gate's value becomes X (debugging aid).
-	WatchGate int
 
 	// MergeThreshold is how many distinct unknown-valued (forking)
 	// decision states a branch site may accumulate before the
@@ -291,12 +288,15 @@ func (a *analyzer) recordDomains() {
 }
 
 // Analyze runs input-independent gate activity analysis of prog on a
-// freshly built core and returns the per-gate activity verdicts. The
-// context bounds the exploration: cancellation or a deadline aborts the
-// analysis with a *LimitError carrying partial-progress diagnostics.
+// freshly built core and returns the per-gate activity verdicts. A
+// program image reaching outside ROM is an error. The context bounds the
+// exploration: cancellation or a deadline aborts the analysis with a
+// *LimitError carrying partial-progress diagnostics.
 func Analyze(ctx context.Context, prog *asm.Program, opts Options) (*Result, *cpu.Core, error) {
 	core := cpu.Build()
-	core.LoadProgram(prog.Bytes, prog.Origin)
+	if err := core.LoadProgram(prog.Bytes, prog.Origin); err != nil {
+		return nil, nil, err
+	}
 	res, err := AnalyzeOn(ctx, core, opts)
 	return res, core, err
 }
@@ -489,10 +489,6 @@ func (a *analyzer) runWorld(w world) error {
 			}
 		}
 		skipSite = false
-		if a.opts.WatchGate != 0 && a.s.Val[a.opts.WatchGate] == logic.X {
-			return fmt.Errorf("symexec: WATCH gate %d went X at pc=%v state=%v mab=%v ir=%v",
-				a.opts.WatchGate, a.s.ReadBus(a.core.PC()), a.s.ReadBus(a.core.State), a.s.ReadBus(a.core.MAB), a.s.ReadBus(a.core.IRReg))
-		}
 		// Check that control stays concrete, then clock. A partially
 		// unknown next PC with few unknown bits gets the Algorithm 1
 		// treatment: enumerate every consistent candidate and fork
