@@ -12,7 +12,9 @@ import (
 	"sync"
 	"testing"
 
+	"bespoke/internal/asm"
 	"bespoke/internal/bench"
+	"bespoke/internal/bitsim"
 	"bespoke/internal/cells"
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
@@ -235,6 +237,39 @@ func BenchmarkBitParallelCampaign(b *testing.B) {
 		rate = float64(rep.Injected) / rep.Elapsed.Seconds()
 	}
 	b.ReportMetric(rate, "inj/s")
+}
+
+// BenchmarkBitsimOneLane measures the batched harness at one lane: one
+// op runs each Table 1 program at seed 1 on a one-lane batch, whose 63
+// unused lanes the memories ignore, so they keep their lockstep fast
+// paths. It is the bit-parallel engine's cost where internal/sim runs
+// today (BenchmarkGateSimulation).
+func BenchmarkBitsimOneLane(b *testing.B) {
+	benches := bench.All()
+	progs := make([]*asm.Program, len(benches))
+	for i, bm := range benches {
+		progs[i] = bm.MustProg()
+	}
+	c := cpu.Build()
+	var cycles uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycles = 0
+		for j, bm := range benches {
+			h, err := bitsim.NewHarness(c, progs[j], 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := h.Run(context.Background(), []*core.Workload{bm.Workload(1)}, nil); err != nil {
+				b.Fatal(err)
+			}
+			if l := h.Lane[0]; l.Status != bitsim.LaneHalted {
+				b.Fatalf("%s: lane %s (%s)", bm.Name, l.Status, l.Detail)
+			}
+			cycles += h.Lane[0].Cycles
+		}
+	}
+	b.ReportMetric(float64(cycles), "cycles/op")
 }
 
 // BenchmarkISASimulation measures golden-model speed for comparison.

@@ -19,9 +19,12 @@
 // is a single-lane flip-flop flip, and an SET is a single-lane pulse on
 // a settled combinational output that expires at the next edge, exactly
 // mirroring sim.InjectPulse. Lanes never interact: X in one lane cannot
-// leak into another, so a diverged or X-poisoned lane simply keeps
-// simulating garbage in its own bit position while the harness stops
-// observing it.
+// leak into another. The live mask names the lanes whose results are
+// still read; the memory macros take their plane-level fast paths
+// whenever the live lanes agree and serve only live lanes on their
+// per-lane paths, so a lane that retires (halted, X-poisoned, over
+// budget), or that a partial batch leaves unused, reads X from the
+// memories, soon settles into X and stops adding gate events.
 package bitsim
 
 import (
@@ -176,6 +179,10 @@ type Sim struct {
 	pulsed    []netlist.GateID
 	edgeStage []stagedW
 
+	// live masks the lanes whose results are read: all of them until a
+	// harness retires some. The memory macros ignore the other lanes.
+	live uint64
+
 	resetting bool
 }
 
@@ -227,6 +234,7 @@ func New(n *netlist.Netlist, blocks ...Block) (*Sim, error) {
 		dffReset:    sch.DffReset,
 		forceMask:   make([]uint64, nG),
 		forceVal:    make([]uint64, nG),
+		live:        ^uint64(0),
 	}
 	// Flat evaluation operands: unused pins read gate 0 (don't-care for
 	// the kind switch, which never loads them).

@@ -1,9 +1,14 @@
 package bitsim
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"bespoke/internal/bench"
+	"bespoke/internal/core"
+	"bespoke/internal/cpu"
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
 	"bespoke/internal/sim"
@@ -361,5 +366,121 @@ func TestBlockReadPathCycleDetected(t *testing.T) {
 	}
 	if _, err := New(n); err != nil {
 		t.Fatalf("the same netlist without the block: %v", err)
+	}
+}
+
+// TestUniformKnownIgnoresOtherLanes pins the memories' lockstep check:
+// only the lanes in the mask must agree on a known value.
+func TestUniformKnownIgnoresOtherLanes(t *testing.T) {
+	for _, c := range []struct {
+		w    W
+		m    uint64
+		want logic.V
+		ok   bool
+	}{
+		{W{0b0101, 0b0111}, 0b0101, logic.One, true}, // lane 1 known 0, lane 3 X: ignored
+		{W{0b1000, 0b1010}, 0b0010, logic.Zero, true},
+		{W{0b0100, 0b1110}, 0b0110, logic.X, false}, // live lanes disagree
+		{W{0b0000, 0b0010}, 0b0011, logic.X, false}, // live lane 0 is X
+		{W{0b0000, 0b0001}, 0b0011, logic.X, false}, // live lane 1 is X
+		{Splat(logic.One), ^uint64(0), logic.One, true},
+	} {
+		if v, ok := uniformKnown(c.w, c.m); v != c.want || ok != c.ok {
+			t.Errorf("uniformKnown(%+v, %#b) = %v, %v; want %v, %v", c.w, c.m, v, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestRetiredLanesIgnored retires lanes at staggered cycles — per-lane
+// budgets in scrambled order, halts, and the unused lanes of a partial
+// batch — with stuck-at forces and private ROM images on some lanes, and
+// fills every retired lane's RAM words with junk after each retirement.
+// From the hook it checks that the simulator's live mask follows the
+// harness's and that every lane outside it reads X from both memories;
+// at the end, every unforced lane that halted matches its scalar run.
+// tHold drives P1 throughout its run; binSearch preloads different RAM
+// contents per lane.
+func TestRetiredLanesIgnored(t *testing.T) {
+	for _, name := range []string{"tHold", "binSearch"} {
+		b := bench.ByName(name)
+		prog := b.MustProg()
+		c := cpu.Build()
+		tr, err := core.RunWorkload(context.Background(), c, prog, b.Workload(1))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		const n = 40
+		h, err := NewHarness(c, prog, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(3))
+		ws := make([]*core.Workload, n)
+		for l := range ws {
+			ws[l] = b.Workload(uint64(l + 1))
+			ws[l].MaxCycles = 20 + tr.Cycles*uint64(l*7%n)/n
+			if l%5 == 4 {
+				ws[l].MaxCycles = 2 * tr.Cycles // retires by halting, unless forced
+			}
+			switch l % 4 {
+			case 1:
+				for {
+					g := netlist.GateID(r.Intn(len(c.N.Gates)))
+					if h.S.ForceLane(g, l, logic.V(r.Intn(2))) == nil {
+						break
+					}
+				}
+			case 2:
+				if err := h.ROM.LoadLaneProgram(l, prog.Bytes, prog.Origin); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rdata := append(append([]netlist.GateID(nil), h.RAM.rdata...), h.ROM.rdata...)
+		last, changes := uint64(0), 0
+		hook := func(h *Harness) {
+			live := h.Live()
+			if live == last {
+				return
+			}
+			last = live
+			changes++
+			if h.S.live != live {
+				t.Fatalf("%s cycle %d: simulator live mask %#x, harness %#x", name, h.Cycles(), h.S.live, live)
+			}
+			h.S.Settle()
+			for _, id := range rdata {
+				if d := h.S.Val[id].D &^ live; d != 0 {
+					t.Fatalf("%s cycle %d: memory output %d is known in retired lanes %#x", name, h.Cycles(), id, d)
+				}
+			}
+			for i := range h.RAM.words {
+				for j := range h.RAM.words[i] {
+					w := &h.RAM.words[i][j]
+					junk := r.Uint64() &^ live
+					w.V, w.D = w.V&live|junk&r.Uint64(), w.D&live|junk
+				}
+			}
+		}
+		if err := h.Run(context.Background(), ws, hook); err != nil {
+			t.Fatal(err)
+		}
+		if changes < n/2 {
+			t.Fatalf("%s: the live mask changed %d times: too few to cover retirement", name, changes)
+		}
+		for l := 4; l < n; l += 5 {
+			if l%4 == 1 {
+				continue // forced
+			}
+			want, err := core.RunWorkload(context.Background(), c, prog, b.Workload(uint64(l+1)))
+			if err != nil {
+				t.Fatalf("%s lane %d: scalar run: %v", name, l, err)
+			}
+			got := h.Lane[l]
+			if got.Status != LaneHalted || got.Cycles != want.Cycles || !slices.Equal(got.Out, want.Out) {
+				t.Errorf("%s lane %d: %s at cycle %d with output %v; scalar halted at %d with %v",
+					name, l, got.Status, got.Cycles, got.Out, want.Cycles, want.Out)
+			}
+		}
 	}
 }

@@ -3,7 +3,11 @@
 // core.RunWorkloadHooked loop so a lane extracted from a batch is
 // bit-identical to the same run on internal/sim. Lanes retire
 // independently (halt, cycle budget, X-poisoned state) via the live
-// mask; the instance stops as soon as every lane has retired.
+// mask; the instance stops as soon as every lane has retired. The
+// simulator shares the live mask, so the memories keep their lockstep
+// fast paths while the live lanes agree, whatever the retired lanes and
+// the lanes beyond a partial batch do. Nothing reads a lane after it
+// retires.
 package bitsim
 
 import (
@@ -119,6 +123,7 @@ func (h *Harness) Live() uint64 { return h.live }
 // retire removes lane l from the live mask and records its outcome.
 func (h *Harness) retire(l int, st LaneStatus, detail string) {
 	h.live &^= uint64(1) << uint(l)
+	h.S.live = h.live
 	h.Lane[l].Status = st
 	h.Lane[l].Cycles = h.cycles
 	h.Lane[l].Detail = detail
@@ -247,6 +252,7 @@ func (h *Harness) Run(ctx context.Context, ws []*core.Workload, hook func(*Harne
 	} else {
 		h.live = uint64(1)<<uint(h.n) - 1
 	}
+	s.live = h.live
 	// One cycle of stRESET loads PC from the reset vector (the scalar
 	// harness samples the output port during this cycle too).
 	h.stepCycle()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bespoke/internal/asm"
 	"bespoke/internal/bench"
 	"bespoke/internal/bitsim"
 	"bespoke/internal/core"
@@ -16,16 +17,27 @@ import (
 // high bit positions) so plane bugs outside lane 0 can't hide.
 var laneSeeds = map[int]uint64{0: 1, 17: 0xBEEF, 42: 7, 63: 0xFEED_F00D}
 
+// probeCycle is the cycle at which the oracle compares flip-flop state.
+const probeCycle = 2000
+
+// scalarRun is one workload run on internal/sim: its trace and its
+// flip-flop state at probeCycle (nil when it halted first).
+type scalarRun struct {
+	tr    *core.RunTrace
+	probe []logic.V
+}
+
 // TestHarnessLaneExtractionOracle is the catalog-level acceptance oracle:
-// for every benchmark, a batch with several seeded lanes must reproduce
-// the scalar engine's run bit-exactly per lane — output stream, halt
-// cycle, and mid-run flip-flop state.
+// for every benchmark, a batch must reproduce the scalar engine's run
+// bit-exactly per lane — output stream, halt cycle, and mid-run flip-flop
+// state. A full batch is checked at the laneSeeds lanes; partial batches
+// of one and five lanes, whose unused lanes the memories ignore, are
+// checked at every lane.
 func TestHarnessLaneExtractionOracle(t *testing.T) {
 	benches := bench.All()
 	if testing.Short() {
 		benches = benches[:3]
 	}
-	const probeCycle = 2000
 	for _, b := range benches {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -34,72 +46,95 @@ func TestHarnessLaneExtractionOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			c := cpu.Build()
-			h, err := bitsim.NewHarness(c, prog, bitsim.Lanes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Every lane gets a workload (unstimulated lanes would poison
-			// or time out — benchmarks expect their RAM preload); only the
-			// laneSeeds lanes are cross-checked against full scalar runs.
-			ws := make([]*core.Workload, bitsim.Lanes)
-			for l := range ws {
-				ws[l] = b.Workload(uint64(1000 + l))
-			}
-			for l, seed := range laneSeeds {
-				ws[l] = b.Workload(seed)
-			}
-			probes := map[int][]logic.V{}
-			hook := func(h *bitsim.Harness) {
-				if h.Cycles() == probeCycle {
-					for l := range laneSeeds {
-						probes[l] = h.DffSnapshotLane(l)
-					}
+			scalar := map[uint64]scalarRun{}
+			scalarOf := func(seed uint64) scalarRun {
+				if r, ok := scalar[seed]; ok {
+					return r
 				}
-			}
-			if err := h.Run(context.Background(), ws, hook); err != nil {
-				t.Fatal(err)
-			}
-
-			for l, seed := range laneSeeds {
-				var scalarProbe []logic.V
-				sc := cpu.Build()
-				shook := func(sh *cpu.Harness) {
+				var r scalarRun
+				hook := func(sh *cpu.Harness) {
 					if sh.Cycles == probeCycle {
-						scalarProbe = sh.Sim.DffSnapshot()
+						r.probe = sh.Sim.DffSnapshot()
 					}
 				}
-				tr, err := core.RunWorkloadHooked(context.Background(), sc, prog, b.Workload(seed), shook)
+				tr, err := core.RunWorkloadHooked(context.Background(), cpu.Build(), prog, b.Workload(seed), hook)
 				if err != nil {
-					t.Fatalf("lane %d seed %#x: scalar run: %v", l, seed, err)
+					t.Fatalf("seed %#x: scalar run: %v", seed, err)
 				}
-				lane := h.Lane[l]
-				if lane.Status != bitsim.LaneHalted {
-					t.Fatalf("lane %d seed %#x: %s (%s), scalar halted", l, seed, lane.Status, lane.Detail)
-				}
-				if lane.Cycles != tr.Cycles {
-					t.Errorf("lane %d seed %#x: halt cycle %d, scalar %d", l, seed, lane.Cycles, tr.Cycles)
-				}
-				if d := diffWords(tr.Out, lane.Out); d != "" {
-					t.Errorf("lane %d seed %#x: output stream: %s", l, seed, d)
-				}
-				if scalarProbe == nil {
-					continue // run halted before the probe cycle
-				}
-				bp := probes[l]
-				if len(bp) != len(scalarProbe) {
-					t.Fatalf("lane %d: %d dffs vs scalar %d", l, len(bp), len(scalarProbe))
-				}
-				for i := range bp {
-					if bp[i] != scalarProbe[i] {
-						t.Errorf("lane %d seed %#x: dff %d at cycle %d: %v, scalar %v",
-							l, seed, i, probeCycle, bp[i], scalarProbe[i])
-						break
-					}
-				}
+				r.tr = tr
+				scalar[seed] = r
+				return r
 			}
+
+			// Every lane of the full batch gets a workload (unstimulated
+			// lanes would poison or time out — benchmarks expect their RAM
+			// preload); only the laneSeeds lanes are cross-checked.
+			full := make([]uint64, bitsim.Lanes)
+			for l := range full {
+				full[l] = uint64(1000 + l)
+			}
+			var checked []int
+			for l, seed := range laneSeeds {
+				full[l] = seed
+				checked = append(checked, l)
+			}
+			checkBatch(t, b, prog, full, checked, scalarOf)
+			checkBatch(t, b, prog, []uint64{1}, []int{0}, scalarOf)
+			checkBatch(t, b, prog, []uint64{1, 0xBEEF, 7, 0xFEED_F00D, 1004}, []int{0, 1, 2, 3, 4}, scalarOf)
 		})
+	}
+}
+
+// checkBatch runs a len(seeds)-lane batch of b, lane l on seeds[l], and
+// compares each checked lane with its scalar run.
+func checkBatch(t *testing.T, b *bench.Benchmark, prog *asm.Program, seeds []uint64, checked []int, scalarOf func(uint64) scalarRun) {
+	t.Helper()
+	h, err := bitsim.NewHarness(cpu.Build(), prog, len(seeds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := make([]*core.Workload, len(seeds))
+	for l, seed := range seeds {
+		ws[l] = b.Workload(seed)
+	}
+	probes := map[int][]logic.V{}
+	hook := func(h *bitsim.Harness) {
+		if h.Cycles() == probeCycle {
+			for _, l := range checked {
+				probes[l] = h.DffSnapshotLane(l)
+			}
+		}
+	}
+	if err := h.Run(context.Background(), ws, hook); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range checked {
+		seed := seeds[l]
+		sr := scalarOf(seed)
+		lane := h.Lane[l]
+		if lane.Status != bitsim.LaneHalted {
+			t.Fatalf("%d lanes, lane %d seed %#x: %s (%s), scalar halted", len(seeds), l, seed, lane.Status, lane.Detail)
+		}
+		if lane.Cycles != sr.tr.Cycles {
+			t.Errorf("%d lanes, lane %d seed %#x: halt cycle %d, scalar %d", len(seeds), l, seed, lane.Cycles, sr.tr.Cycles)
+		}
+		if d := diffWords(sr.tr.Out, lane.Out); d != "" {
+			t.Errorf("%d lanes, lane %d seed %#x: output stream: %s", len(seeds), l, seed, d)
+		}
+		if sr.probe == nil {
+			continue // run halted before the probe cycle
+		}
+		bp := probes[l]
+		if len(bp) != len(sr.probe) {
+			t.Fatalf("%d lanes, lane %d: %d dffs vs scalar %d", len(seeds), l, len(bp), len(sr.probe))
+		}
+		for i := range bp {
+			if bp[i] != sr.probe[i] {
+				t.Errorf("%d lanes, lane %d seed %#x: dff %d at cycle %d: %v, scalar %v",
+					len(seeds), l, seed, i, probeCycle, bp[i], sr.probe[i])
+				break
+			}
+		}
 	}
 }
 

@@ -7,26 +7,31 @@
 // write-enable) merges, a write to an unknown address merges into every
 // reachable word. The ROM keeps one concrete image per lane, aliasing a
 // shared base image until a lane is given its own program (mutant
-// packing), so the uniform case stays a single-word broadcast.
+// packing), so the uniform case stays a single-word broadcast. Both
+// macros look only at the simulator's live lanes: the lockstep checks
+// ask whether the live lanes agree, the per-lane paths serve live lanes
+// only, and every other lane reads all-X.
 package bitsim
 
 import (
+	"math/bits"
+
 	"bespoke/internal/logic"
 	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/sim"
 )
 
-// uniformKnown reports whether every lane of w holds the same known
-// value, and that value.
-func uniformKnown(w W) (logic.V, bool) {
-	if w.D != ^uint64(0) {
+// uniformKnown reports whether every lane in m of w holds the same
+// known value, and that value.
+func uniformKnown(w W, m uint64) (logic.V, bool) {
+	if w.D&m != m {
 		return logic.X, false
 	}
-	switch w.V {
+	switch w.V & m {
 	case 0:
 		return logic.Zero, true
-	case ^uint64(0):
+	case m:
 		return logic.One, true
 	}
 	return logic.X, false
@@ -111,7 +116,7 @@ func (r *ROM) Eval(s *Sim) {
 	for i, id := range r.addr {
 		r.in[i] = s.Val[id]
 	}
-	if ev, ok := uniformKnown(en); ok {
+	if ev, ok := uniformKnown(en, s.live); ok {
 		if ev == logic.Zero {
 			r.driveOut(s, func(int) logic.Word { return logic.KnownWord(0) }, true)
 			return
@@ -120,7 +125,7 @@ func (r *ROM) Eval(s *Sim) {
 			uni := true
 			var a uint16
 			for i := range r.in {
-				bv, bok := uniformKnown(r.in[i])
+				bv, bok := uniformKnown(r.in[i], s.live)
 				if !bok {
 					uni = false
 					break
@@ -150,8 +155,8 @@ func (r *ROM) Eval(s *Sim) {
 	}, false)
 }
 
-// driveOut assembles per-lane words into output planes and drives them.
-// When broadcast is set, word(0) applies to every lane.
+// driveOut assembles the live lanes' words into output planes and
+// drives them. When broadcast is set, word(0) applies to every lane.
 func (r *ROM) driveOut(s *Sim, word func(l int) logic.Word, broadcast bool) {
 	var outV, outD [16]uint64
 	if broadcast {
@@ -161,7 +166,8 @@ func (r *ROM) driveOut(s *Sim, word func(l int) logic.Word, broadcast bool) {
 			outD[b] = Splat(w.Bit(uint(b))).D
 		}
 	} else {
-		for l := 0; l < Lanes; l++ {
+		for m := s.live; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
 			w := word(l)
 			bit := uint64(1) << uint(l)
 			for b := range r.rdata {
@@ -176,7 +182,7 @@ func (r *ROM) driveOut(s *Sim, word func(l int) logic.Word, broadcast bool) {
 		}
 	}
 	for b, id := range r.rdata {
-		s.BlockDrive(id, W{outV[b], outD[b]})
+		s.BlockDrive(id, W{outV[b] & s.live, outD[b] & s.live})
 	}
 }
 
@@ -251,7 +257,7 @@ func (r *RAM) Eval(s *Sim) {
 		r.ain[i] = s.Val[id]
 	}
 	var outV, outD [16]uint64
-	ev, eok := uniformKnown(en)
+	ev, eok := uniformKnown(en, s.live)
 	if eok && ev == logic.Zero {
 		for b := range outD {
 			outD[b] = ^uint64(0)
@@ -263,7 +269,7 @@ func (r *RAM) Eval(s *Sim) {
 		uni := true
 		var a uint16
 		for i := range r.ain {
-			bv, bok := uniformKnown(r.ain[i])
+			bv, bok := uniformKnown(r.ain[i], s.live)
 			if !bok {
 				uni = false
 				break
@@ -282,9 +288,10 @@ func (r *RAM) Eval(s *Sim) {
 			return
 		}
 	}
-	// Per-lane slow path: some lane has an X enable or the addresses
+	// Per-lane slow path: some live lane has an X enable or the addresses
 	// diverged.
-	for l := 0; l < Lanes; l++ {
+	for m := s.live; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
 		bit := uint64(1) << uint(l)
 		switch en.Lane(l) {
 		case logic.Zero:
@@ -308,9 +315,10 @@ func (r *RAM) Eval(s *Sim) {
 	r.driveOut(s, &outV, &outD)
 }
 
+// driveOut drives the read data of the live lanes; the others read X.
 func (r *RAM) driveOut(s *Sim, outV, outD *[16]uint64) {
 	for b, id := range r.rdata {
-		s.BlockDrive(id, W{outV[b], outD[b]})
+		s.BlockDrive(id, W{outV[b] & s.live, outD[b] & s.live})
 	}
 }
 
@@ -319,10 +327,12 @@ func (r *RAM) driveOut(s *Sim, outV, outD *[16]uint64) {
 func (r *RAM) Clock(s *Sim) {
 	wl, wh := s.Val[r.wenLo], s.Val[r.wenHi]
 	en := s.Val[r.en]
-	// No lane can write: both enables known-zero everywhere, or the
-	// select known-zero everywhere.
-	if (wl.D == ^uint64(0) && wl.V == 0 && wh.D == ^uint64(0) && wh.V == 0) ||
-		(en.D == ^uint64(0) && en.V == 0) {
+	wlv, wlok := uniformKnown(wl, s.live)
+	whv, whok := uniformKnown(wh, s.live)
+	env, enok := uniformKnown(en, s.live)
+	// No live lane can write: both enables known-zero, or the select
+	// known-zero.
+	if (wlok && wlv == logic.Zero && whok && whv == logic.Zero) || (enok && env == logic.Zero) {
 		return
 	}
 	for i, id := range r.addr {
@@ -333,19 +343,14 @@ func (r *RAM) Clock(s *Sim) {
 	}
 
 	// Lockstep fast path: every control pin and the address are uniform
-	// and known, so one plane-level write covers all lanes at once (the
-	// data planes themselves may still differ per lane).
-	wlv, wlok := uniformKnown(wl)
-	whv, whok := uniformKnown(wh)
-	env, enok := uniformKnown(en)
+	// and known across the live lanes, so one plane-level write covers
+	// them all at once (the data planes themselves may still differ per
+	// lane).
 	if wlok && whok && enok {
-		if env == logic.Zero || (wlv == logic.Zero && whv == logic.Zero) {
-			return
-		}
 		uni := true
 		var a uint16
 		for i := range r.ain {
-			bv, bok := uniformKnown(r.ain[i])
+			bv, bok := uniformKnown(r.ain[i], s.live)
 			if !bok {
 				uni = false
 				break
@@ -370,21 +375,17 @@ func (r *RAM) Clock(s *Sim) {
 		}
 	}
 
-	// Per-lane slow path: the scalar RAM's write rule, one lane at a time.
-	for l := 0; l < Lanes; l++ {
+	// Per-lane slow path: the scalar RAM's write rule, one live lane at a
+	// time.
+	for m := s.live; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
 		wlL, whL, enL := wl.Lane(l), wh.Lane(l), en.Lane(l)
 		if (wlL == logic.Zero && whL == logic.Zero) || enL == logic.Zero {
 			continue
 		}
 		sim.ConservativeWrite(len(r.words), laneWord(r.ain, l), laneWord(r.din, l), wlL, whL, enL,
 			func(i uint16) logic.Word { return r.LaneWord(l, i) },
-			func(i uint16, w logic.Word) { r.setLane(i, l, w) })
-	}
-}
-
-func (r *RAM) setLane(i uint16, l int, w logic.Word) {
-	for b := 0; b < 16; b++ {
-		r.words[i][b] = r.words[i][b].SetLane(l, w.Bit(uint(b)))
+			func(i uint16, w logic.Word) { r.SetLaneWord(l, i, w) })
 	}
 }
 

@@ -557,7 +557,7 @@ func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Optio
 	}
 	analyses := make([]*symexec.Result, len(progs))
 	perr := parallel.ForEach(ctx, 0, len(progs), func(i int) error {
-		res, _, err := analyzeGuarded(ctx, progs[i], opts)
+		res, _, err := Analyze(ctx, progs[i], opts)
 		if err != nil {
 			return err
 		}
@@ -585,17 +585,19 @@ func UpdateMissing(ctx context.Context, base []*asm.Program, update *asm.Program
 	if err != nil {
 		return nil, nil, err
 	}
-	upd, c, err := analyzeGuarded(ctx, update, opts)
+	upd, c, err := Analyze(ctx, update, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analyzing update: %w", err)
 	}
 	return union.Missing(upd), c, nil
 }
 
-// analyzeGuarded wraps one worker's symexec.Analyze call so a panic from
-// a malformed program inside the pool is converted to a *FlowError on
-// that worker instead of crossing goroutine boundaries.
-func analyzeGuarded(ctx context.Context, p *asm.Program, opts symexec.Options) (res *symexec.Result, c *cpu.Core, err error) {
+// Analyze runs symexec.Analyze under the flow's panic guard: a panic
+// from a malformed program is returned as a *FlowError in the "analysis"
+// stage, so a worker pool running many analyses loses one result instead
+// of the process. Analysis errors, context errors included, are returned
+// as symexec.Analyze returns them.
+func Analyze(ctx context.Context, p *asm.Program, opts symexec.Options) (res *symexec.Result, c *cpu.Core, err error) {
 	stage := "analysis"
 	defer guard(&stage, &err)
 	return symexec.Analyze(ctx, p, opts)

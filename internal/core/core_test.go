@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bespoke/internal/asm"
+	"bespoke/internal/symexec"
 )
 
 const prologue = `
@@ -155,6 +156,23 @@ func TestTailorMultiUnion(t *testing.T) {
 	}
 	if len(tr.Out) != 1 || tr.Out[0] != 400 {
 		t.Fatalf("multiplier program on union design: out = %v", tr.Out)
+	}
+}
+
+// TestAnalyzeRecoversPanic: a panic inside the analysis (here a nil
+// program) comes back from Analyze as a *FlowError in the analysis
+// stage, so a worker pool running many analyses survives it.
+func TestAnalyzeRecoversPanic(t *testing.T) {
+	res, c, err := Analyze(context.Background(), nil, symexec.Options{})
+	var fe *FlowError
+	if !errors.As(err, &fe) {
+		t.Fatalf("expected *FlowError, got %T: %v", err, err)
+	}
+	if fe.Stage != "analysis" {
+		t.Errorf("failed stage = %q, want analysis", fe.Stage)
+	}
+	if res != nil || c != nil {
+		t.Errorf("panicked analysis returned a result %v or a core %v", res, c)
 	}
 }
 

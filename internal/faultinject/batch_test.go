@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"bespoke/internal/asm"
+	"bespoke/internal/bench"
 	"bespoke/internal/bitsim"
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
@@ -211,8 +213,26 @@ func TestBatchedMatchesScalarOutcomes(t *testing.T) {
 	}
 	scalar := scalarCampaign(t, c, prog, w, faults, Options{Seed: 5})
 
-	if batched.Injected != scalar.Injected || batched.Injected != len(faults) {
-		t.Fatalf("injected %d batched vs %d scalar (want %d)", batched.Injected, scalar.Injected, len(faults))
+	if batched.Injected != len(faults) {
+		t.Fatalf("injected %d batched, want %d", batched.Injected, len(faults))
+	}
+	sameOutcomes(t, batched, scalar)
+	if want := (len(faults) + faultLanes - 1) / faultLanes; batched.Batches != want {
+		t.Fatalf("batched built %d instances for %d faults, want %d", batched.Batches, len(faults), want)
+	}
+	if batched.Elapsed <= 0 {
+		t.Fatalf("elapsed not recorded: %v", batched.Elapsed)
+	}
+}
+
+// sameOutcomes fails t unless the batched and scalar reports classify
+// every fault identically: same faults in the same order, same outcomes
+// and tallies, same details wherever the outcome is engine-independent,
+// and the same diverged list.
+func sameOutcomes(t *testing.T, batched, scalar *Report) {
+	t.Helper()
+	if batched.Injected != scalar.Injected {
+		t.Fatalf("injected %d batched vs %d scalar", batched.Injected, scalar.Injected)
 	}
 	for i := range scalar.Results {
 		b, s := batched.Results[i], scalar.Results[i]
@@ -250,12 +270,41 @@ func TestBatchedMatchesScalarOutcomes(t *testing.T) {
 			t.Fatalf("diverged order: %v vs %v", batched.Diverged[i].Fault, scalar.Diverged[i].Fault)
 		}
 	}
-	if want := (len(faults) + faultLanes - 1) / faultLanes; batched.Batches != want {
-		t.Fatalf("batched built %d instances for %d faults, want %d", batched.Batches, len(faults), want)
+}
+
+// TestPoisonedLaneCampaignMatchesScalar runs a campaign in which a
+// strike X-poisons a lane — SETs on irq's bespoke design under seed 7's
+// interrupt schedule, sampled as the faults benchmark samples them — and
+// checks it against the scalar oracle. Once a lane retires, the
+// memories ignore it; no outcome may change.
+func TestPoisonedLaneCampaignMatchesScalar(t *testing.T) {
+	b := bench.IRQ()
+	prog, err := b.Prog()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if batched.Elapsed <= 0 {
-		t.Fatalf("elapsed not recorded: %v", batched.Elapsed)
+	w := b.Workload(7)
+	res, err := core.Tailor(context.Background(), prog, w, core.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	opts := Options{Workers: 1, MaxFaults: faultLanes, Seed: 1}
+	batched, err := SETCampaign(context.Background(), res.BespokeCore, prog, w, faultLanes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule := make([]Fault, len(batched.Results))
+	poisoned := 0
+	for i, r := range batched.Results {
+		schedule[i] = r.Fault
+		if r.Outcome == Hang && (strings.Contains(r.Detail, "pc is partially unknown") || strings.Contains(r.Detail, "FSM state is X")) {
+			poisoned++
+		}
+	}
+	if poisoned == 0 {
+		t.Fatal("no lane retired X-poisoned: the campaign no longer covers the poisoned-lane path")
+	}
+	sameOutcomes(t, batched, scalarCampaign(t, res.BespokeCore, prog, w, schedule, opts))
 }
 
 // TestSEUCampaignBackendEquality runs the public SEU entry point and

@@ -17,6 +17,7 @@ import (
 
 	"bespoke/internal/asm"
 	"bespoke/internal/bench"
+	"bespoke/internal/core"
 	"bespoke/internal/logic"
 	"bespoke/internal/parallel"
 	"bespoke/internal/symexec"
@@ -194,16 +195,17 @@ func CheckSupport(ctx context.Context, b *bench.Benchmark, app *symexec.Result, 
 		Union:           union,
 	}
 	// Phase 1, parallel: one analysis per mutant. A nil entry means the
-	// mutant failed to assemble or its analysis hit a limit; both count
-	// as unsupported. Watchdog limit errors stay per-mutant verdicts, but
-	// a cancelled context aborts the campaign.
+	// mutant failed to assemble or its analysis failed (a limit, or a
+	// panic core.Analyze recovered); both count as unsupported. Those
+	// errors stay per-mutant verdicts, but a cancelled context aborts the
+	// campaign.
 	analyses := make([]*symexec.Result, len(muts))
 	err := parallel.ForEach(ctx, 0, len(muts), func(i int) error {
 		p, err := muts[i].Prog()
 		if err != nil {
 			return nil
 		}
-		mres, _, err := symexec.Analyze(ctx, p, symexec.Options{MaxCycles: mutantCycles})
+		mres, _, err := core.Analyze(ctx, p, symexec.Options{MaxCycles: mutantCycles})
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
