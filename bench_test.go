@@ -324,6 +324,34 @@ func BenchmarkCutAndResynthesis(b *testing.B) {
 	b.ReportMetric(float64(kept), "kept-gates")
 }
 
+// BenchmarkPlace measures placement alone, on the base core and on
+// binSearch's bespoke core (analysis, cut and re-synthesis). Each
+// netlist's fanout and level tables are cached after the first call, so
+// the time is Place's own.
+func BenchmarkPlace(b *testing.B) {
+	res, c, err := core.Analyze(context.Background(), bench.ByName("binSearch").MustProg(), symexec.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := core.CutAndResynthesize(c, res.Toggled, res.ConstVal); err != nil {
+		b.Fatal(err)
+	}
+	lib := cells.TSMC65()
+	for _, d := range []struct {
+		name string
+		n    *netlist.Netlist
+	}{{"base", cpu.Build().N}, {"bespoke", c.N}} {
+		b.Run(d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var wire float64
+			for i := 0; i < b.N; i++ {
+				wire = layout.Place(d.n, lib).TotalWireUm
+			}
+			b.ReportMetric(wire, "wire-um")
+		})
+	}
+}
+
 // multProof builds what the flow's proof gate starts from on mult's real
 // core: the proof environment over the cut plan's claims and the
 // induction spec, both from an analysis that records bus domains.

@@ -547,13 +547,13 @@ func wsAt(ws []*Workload, i int) *Workload {
 // their union (symexec.Result.Merge: a gate survives if any program needs
 // it). The per-program analyses are independent and fan out across the
 // shared worker pool; the union is merged sequentially in program order,
-// so the result is deterministic. Panics from malformed programs are
-// recovered into a *FlowError.
+// so the result is deterministic. Every error, a recovered panic from a
+// malformed program included, is a *FlowError in the "analysis" stage.
 func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Options) (union *symexec.Result, err error) {
 	stage := "analysis"
 	defer guard(&stage, &err)
 	if len(progs) == 0 {
-		return nil, fmt.Errorf("core: no programs")
+		return nil, stageErr(stage, netlist.None, fmt.Errorf("core: no programs"))
 	}
 	analyses := make([]*symexec.Result, len(progs))
 	perr := parallel.ForEach(ctx, 0, len(progs), func(i int) error {
@@ -565,7 +565,7 @@ func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Optio
 		return nil
 	})
 	if perr != nil {
-		return nil, perr
+		return nil, stageErr(stage, netlist.None, perr)
 	}
 	union = analyses[0]
 	for _, res := range analyses[1:] {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +174,34 @@ func TestAnalyzeRecoversPanic(t *testing.T) {
 	}
 	if res != nil || c != nil {
 		t.Errorf("panicked analysis returned a result %v or a core %v", res, c)
+	}
+}
+
+// TestUnionAnalysisErrorsAreFlowErrors: every error UnionAnalysis
+// returns is a *FlowError in the analysis stage (an empty program list,
+// an image below ROM), and a cancelled context stays reachable through
+// the wrapper.
+func TestUnionAnalysisErrorsAreFlowErrors(t *testing.T) {
+	low := asm.MustAssemble(strings.Replace(simpleAdd, ".org 0xF000", ".org 0x0200", 1))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		progs []*asm.Program
+	}{
+		{"no programs", context.Background(), nil},
+		{"image below ROM", context.Background(), []*asm.Program{low}},
+		{"cancelled", cancelled, []*asm.Program{asm.MustAssemble(simpleAdd)}},
+	} {
+		_, err := UnionAnalysis(tc.ctx, tc.progs, symexec.Options{})
+		var fe *FlowError
+		if !errors.As(err, &fe) || fe.Stage != "analysis" {
+			t.Errorf("%s: want a *FlowError in stage analysis, got %T: %v", tc.name, err, err)
+		}
+		if tc.ctx == cancelled && !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error does not unwrap to context.Canceled: %v", tc.name, err)
+		}
 	}
 }
 

@@ -193,7 +193,8 @@ type engine struct {
 	cands  []candidate
 	proved []int // candidate indexes proved so far (inv.K set)
 	res    *Result
-	lanes  *lanes // extends step counterexamples (see extend)
+	lanes  *lanes      // extends step counterexamples (see extend)
+	solver *sat.Solver // reset for every base and step check
 }
 
 // Prove infers candidate invariants for spec and discharges them by
@@ -208,7 +209,7 @@ func Prove(ctx context.Context, spec *Spec, claims []cut.Claim, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{spec: spec, opts: opts, res: &Result{Core: map[netlist.GateID]int{}}, lanes: l}
+	e := &engine{spec: spec, opts: opts, res: &Result{Core: map[netlist.GateID]int{}}, lanes: l, solver: sat.New()}
 	if err := e.infer(claims); err != nil {
 		return nil, err
 	}
@@ -320,7 +321,8 @@ func (e *engine) runLevel(ctx context.Context, k int, active []int) (survivors, 
 // baseCheck drops active candidates violated within the first k settled
 // frames from reset and returns the remaining ones.
 func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, error) {
-	s := sat.New()
+	s := e.solver
+	s.Reset()
 	frames := make([]*equiv.Frame, k)
 	var prev *equiv.Frame
 	for t := 0; t < k; t++ {
@@ -376,7 +378,7 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, err
 			return nil, nil
 		}
 		// Drop every candidate the model violates in some base frame.
-		var keep []int
+		keep := act[:0]
 		for _, ci := range act {
 			violated := false
 			for t := 0; t < k && !violated; t++ {
@@ -404,7 +406,8 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, err
 // at frame k, until UNSAT. Survivors are k-inductive relative to the
 // proved set.
 func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors, rest []int, err error) {
-	s := sat.New()
+	s := e.solver
+	s.Reset()
 	frames := make([]*equiv.Frame, k+1)
 	var prev *equiv.Frame
 	for t := 0; t <= k; t++ {
@@ -461,7 +464,7 @@ func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors,
 			return nil, append(rest, act...), nil
 		}
 		fk := frames[k]
-		var keep []int
+		keep := act[:0]
 		ndrop := 0
 		for _, ci := range act {
 			if e.cands[ci].inv.Holds(func(g netlist.GateID) bool { return s.Value(fk.Var(g)) }) {

@@ -7,8 +7,9 @@
 package layout
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"bespoke/internal/cells"
 	"bespoke/internal/netlist"
@@ -55,8 +56,9 @@ func Place(n *netlist.Netlist, lib *cells.Library) *Result {
 		Y:           make([]float64, len(n.Gates)),
 	}
 
-	// Real cells to place.
-	var cellsToPlace []netlist.GateID
+	// Real cells to place; pseudo-cells keep zero coordinates.
+	placed := make([]bool, len(n.Gates))
+	ncells := 0
 	for i := range n.Gates {
 		k := n.Gates[i].Kind
 		switch k {
@@ -64,104 +66,125 @@ func Place(n *netlist.Netlist, lib *cells.Library) *Result {
 			continue
 		}
 		r.CellAreaUm2 += lib.ByKind[k].Area
-		cellsToPlace = append(cellsToPlace, netlist.GateID(i))
+		placed[i] = true
+		ncells++
 	}
-	if len(cellsToPlace) == 0 {
+	if ncells == 0 {
 		return r
 	}
 	r.AreaUm2 = r.CellAreaUm2 / r.Utilization
 	side := math.Sqrt(r.AreaUm2)
-	cols := int(math.Ceil(math.Sqrt(float64(len(cellsToPlace)))))
+	cols := int(math.Ceil(math.Sqrt(float64(ncells))))
 	pitch := side / float64(cols)
 
 	// Initial order: topological (levelized) order keeps fanin cones
-	// adjacent; DFFs and sources first.
-	lv, _, err := n.Levels()
+	// adjacent; DFFs and sources first. A counting sort by level keeps
+	// gate order within a level.
+	lv, maxLvl, err := n.Levels()
 	if err != nil {
-		lv = make([]int32, len(n.Gates))
+		lv, maxLvl = make([]int32, len(n.Gates)), 0
 	}
-	sort.SliceStable(cellsToPlace, func(a, b int) bool { return lv[cellsToPlace[a]] < lv[cellsToPlace[b]] })
+	next := make([]int, maxLvl+2)
+	for i, ok := range placed {
+		if ok {
+			next[lv[i]+1]++
+		}
+	}
+	for l := 1; l < len(next); l++ {
+		next[l] += next[l-1]
+	}
+	order := make([]netlist.GateID, ncells)
+	for i, ok := range placed {
+		if ok {
+			order[next[lv[i]]] = netlist.GateID(i)
+			next[lv[i]]++
+		}
+	}
 
-	type pt struct{ x, y float64 }
-	pos := make(map[netlist.GateID]pt, len(cellsToPlace))
-	assign := func(order []netlist.GateID) {
+	// The grid slot of rank i holds order[i]; positions live in r.X and
+	// r.Y throughout.
+	assign := func() {
 		for i, id := range order {
-			pos[id] = pt{
-				x: (float64(i%cols) + 0.5) * pitch,
-				y: (float64(i/cols) + 0.5) * pitch,
-			}
+			r.X[id] = (float64(i%cols) + 0.5) * pitch
+			r.Y[id] = (float64(i/cols) + 0.5) * pitch
 		}
 	}
-	assign(cellsToPlace)
-
-	fanout := n.Fanout()
-	neighbors := func(id netlist.GateID, f func(netlist.GateID)) {
-		g := &n.Gates[id]
-		ni := g.Kind.NumInputs()
-		for p := 0; p < ni; p++ {
-			if in := g.In[p]; in != netlist.None {
-				f(in)
-			}
-		}
-		for _, fo := range fanout[id] {
-			f(fo)
-		}
-	}
+	assign()
 
 	// Centroid refinement: move each cell toward the average position of
-	// its neighbors, then re-legalize by sorting back onto the grid.
+	// its placed neighbors (input pins, then fanout readers), then
+	// re-legalize by sorting back onto the grid, row-major by target
+	// position, ties kept in the previous order.
+	fanout := n.Fanout()
+	keys := make([]slot, ncells)
 	for pass := 0; pass < 3; pass++ {
-		desired := make(map[netlist.GateID]pt, len(cellsToPlace))
-		for _, id := range cellsToPlace {
+		for i, id := range order {
 			var sx, sy float64
 			cnt := 0
-			neighbors(id, func(nb netlist.GateID) {
-				if p, ok := pos[nb]; ok {
-					sx += p.x
-					sy += p.y
+			g := &n.Gates[id]
+			for _, in := range g.In[:g.Kind.NumInputs()] {
+				if in != netlist.None && placed[in] {
+					sx += r.X[in]
+					sy += r.Y[in]
 					cnt++
 				}
-			})
-			if cnt == 0 {
-				desired[id] = pos[id]
-			} else {
-				desired[id] = pt{sx / float64(cnt), sy / float64(cnt)}
 			}
+			for _, fo := range fanout[id] {
+				if placed[fo] {
+					sx += r.X[fo]
+					sy += r.Y[fo]
+					cnt++
+				}
+			}
+			x, y := r.X[id], r.Y[id]
+			if cnt != 0 {
+				x, y = sx/float64(cnt), sy/float64(cnt)
+			}
+			keys[i] = slot{y: math.Float64bits(y), x: math.Float64bits(x), rankID: uint64(i)<<32 | uint64(id)}
 		}
-		sort.SliceStable(cellsToPlace, func(a, b int) bool {
-			da, db := desired[cellsToPlace[a]], desired[cellsToPlace[b]]
-			if da.y != db.y {
-				return da.y < db.y
-			}
-			return da.x < db.x
-		})
-		assign(cellsToPlace)
+		slices.SortFunc(keys, compareSlots)
+		for i := range keys {
+			order[i] = netlist.GateID(uint32(keys[i].rankID))
+		}
+		assign()
 	}
 
-	for id, p := range pos {
-		r.X[id], r.Y[id] = p.x, p.y
-	}
-
-	// Half-perimeter wirelength per net.
-	for _, id := range cellsToPlace {
+	// Half-perimeter wirelength per net, summed in grid order.
+	for _, id := range order {
 		if len(fanout[id]) == 0 {
 			continue
 		}
-		p := pos[id]
-		minX, maxX, minY, maxY := p.x, p.x, p.y, p.y
+		minX, maxX, minY, maxY := r.X[id], r.X[id], r.Y[id], r.Y[id]
 		for _, fo := range fanout[id] {
-			q, ok := pos[fo]
-			if !ok {
+			if !placed[fo] {
 				continue
 			}
-			minX = math.Min(minX, q.x)
-			maxX = math.Max(maxX, q.x)
-			minY = math.Min(minY, q.y)
-			maxY = math.Max(maxY, q.y)
+			minX = math.Min(minX, r.X[fo])
+			maxX = math.Max(maxX, r.X[fo])
+			minY = math.Min(minY, r.Y[fo])
+			maxY = math.Max(maxY, r.Y[fo])
 		}
 		l := (maxX - minX) + (maxY - minY)
 		r.WireLenUm[id] = l
 		r.TotalWireUm += l
 	}
 	return r
+}
+
+// slot is one cell's re-legalization sort key: its target y and x as
+// float64 bits, which order like the values because coordinates are
+// never negative, then its previous rank in the high half of rankID
+// (unique, so the sort needs no stability) and its gate in the low half.
+type slot struct {
+	y, x, rankID uint64
+}
+
+func compareSlots(a, b slot) int {
+	if a.y != b.y {
+		return cmp.Compare(a.y, b.y)
+	}
+	if a.x != b.x {
+		return cmp.Compare(a.x, b.x)
+	}
+	return cmp.Compare(a.rankID, b.rankID)
 }

@@ -178,6 +178,37 @@ func New() *Solver {
 	return &Solver{varInc: 1, maxLearnts: 4000}
 }
 
+// Reset returns s to New's state: no variables or clauses, zero Stats
+// and budget, and no model. Every slice keeps its storage, each
+// literal's watch list included, so a caller that solves a sequence of
+// similar problems (the k-induction ladder) does not reallocate them.
+func (s *Solver) Reset() {
+	ws := s.watches[:cap(s.watches)]
+	for i := range ws {
+		ws[i] = ws[i][:0]
+	}
+	*s = Solver{
+		arena:        s.arena[:0],
+		learnts:      s.learnts[:0],
+		watches:      ws[:0],
+		vals:         s.vals[:0],
+		level:        s.level[:0],
+		reason:       s.reason[:0],
+		trail:        s.trail[:0],
+		lim:          s.lim[:0],
+		activity:     s.activity[:0],
+		varInc:       1,
+		order:        heap{data: s.order.data[:0], pos: s.order.pos[:0]},
+		phase:        s.phase[:0],
+		seen:         s.seen[:0],
+		conflict:     s.conflict[:0],
+		modelBuf:     s.modelBuf[:0],
+		maxLearnts:   4000,
+		learntClause: s.learntClause[:0],
+		minRemoved:   s.minRemoved[:0],
+	}
+}
+
 // NewVar introduces a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.level))
@@ -187,7 +218,11 @@ func (s *Solver) NewVar() Var {
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches) + 2; n <= cap(s.watches) {
+		s.watches = s.watches[:n] // two lists Reset emptied, storage kept
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.order.pos = append(s.order.pos, -1)
 	s.order.insert(v, 0)
 	return v
