@@ -58,7 +58,7 @@ func Assemble(source string) (*Program, error) { return asm.Assemble(source) }
 // run of the program.
 //
 // Tailor never honors cancellation (it runs under context.Background());
-// services that need a bounded, cancellable flow use TailorContext.
+// callers that need a bounded, cancellable flow use TailorContext.
 func Tailor(prog *Program, w *Workload) (*Result, error) {
 	return core.Tailor(context.Background(), prog, w, core.Options{})
 }
@@ -66,8 +66,8 @@ func Tailor(prog *Program, w *Workload) (*Result, error) {
 // TailorContext is Tailor with explicit flow options under a caller
 // context. Cancellation and deadlines are honored inside the analysis and
 // simulation hot loops (checked every 1024 simulated cycles), so a
-// serving layer can bound the wall-clock cost of any request; the
-// returned error wraps context.Canceled or context.DeadlineExceeded.
+// caller can bound the flow's wall-clock cost; the returned error wraps
+// context.Canceled or context.DeadlineExceeded.
 func TailorContext(ctx context.Context, prog *Program, w *Workload, opts Options) (*Result, error) {
 	return core.Tailor(ctx, prog, w, opts)
 }

@@ -447,47 +447,6 @@ func BenchmarkTailorFlow(b *testing.B) {
 	b.ReportMetric(100*savings, "%power-savings")
 }
 
-// BenchmarkNetlistCodec measures the canonical binary encoder and
-// decoder on the full CPU netlist (the tailored-core cache's hot path).
-func BenchmarkNetlistCodec(b *testing.B) {
-	n := cpu.Build().N
-	enc := netlist.Encode(n)
-	b.Run("encode", func(b *testing.B) {
-		var bytes int
-		for i := 0; i < b.N; i++ {
-			bytes = len(netlist.Encode(n))
-		}
-		b.ReportMetric(float64(bytes), "bytes")
-	})
-	b.Run("decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := netlist.Decode(enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkTailorCacheHit measures rehydrating a tailored design from
-// the content-addressed cache against re-running the flow.
-func BenchmarkTailorCacheHit(b *testing.B) {
-	bm := bench.ByName("div")
-	tc := core.NewTailorCache()
-	if _, err := tc.Tailor(context.Background(), bm.MustProg(), bm.Workload(1), core.Options{}); err != nil {
-		b.Fatal(err)
-	}
-	var gates int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := tc.Tailor(context.Background(), bm.MustProg(), bm.Workload(1), core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gates = res.Bespoke.Gates
-	}
-	b.ReportMetric(float64(gates), "bespoke-gates")
-}
-
 // --- Ablations ------------------------------------------------------------
 
 // BenchmarkAblation_MergeThreshold compares the paper's merge-at-first-

@@ -1,14 +1,15 @@
 // Command bespoke-lint runs the structural netlist analyzers over the
 // elaborated base microcontroller, over a bespoke design tailored to one
-// or more applications, or over a serialized netlist file — the static
-// half of signoff, usable without any workload.
+// or more applications, or over a structural Verilog netlist as written
+// by bespoke -verilog — the static half of signoff, usable without any
+// workload.
 //
 // Usage:
 //
 //	bespoke-lint                 # lint the elaborated base core
 //	bespoke-lint prog.s [more.s] # tailor first, lint the bespoke core
 //	bespoke-lint -bench mult     # same, for an embedded Table 1 benchmark
-//	bespoke-lint -netlist f.nl   # lint a serialized netlist file
+//	bespoke-lint -netlist out.v  # lint a netlist written by bespoke -verilog
 //
 // The exit status is 0 when the netlist is clean, 1 when there are
 // findings, 2 on usage or flow errors.
@@ -36,7 +37,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
 	benches := flag.String("bench", "", "comma-separated Table 1 benchmark names to tailor and lint")
 	list := flag.Bool("list", false, "list the available analyzers and exit")
-	netFile := flag.String("netlist", "", "lint a serialized netlist file instead of building a core")
+	netFile := flag.String("netlist", "", "lint a structural Verilog netlist, as written by bespoke -verilog, instead of building a core")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = unlimited)")
 	flag.Parse()
 
@@ -90,14 +91,15 @@ func main() {
 	}
 }
 
-// lintFile lints a serialized netlist. The file carries no core context,
-// so no keep-alive roots are assumed.
+// lintFile lints a structural Verilog netlist. The file carries no core
+// context, so no keep-alive roots are assumed.
 func lintFile(ctx context.Context, path string, cfg lint.Config) (*netlist.Netlist, *lint.Report, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	n, err := netlist.Decode(data)
+	defer f.Close()
+	n, err := netlist.ReadVerilog(f)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}

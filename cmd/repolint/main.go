@@ -71,7 +71,6 @@ var ctxPackages = map[string]bool{
 	"internal/faultinject": true,
 	"internal/sat":         true,
 	"internal/equiv":       true,
-	"internal/serve":       true,
 }
 
 // run lints the tree under root and returns the issues sorted by file
@@ -248,7 +247,7 @@ func panicBoundary(fd *ast.FuncDecl) bool {
 // take a context.
 func exemptName(name string) bool {
 	switch name {
-	case "Error", "String", "Unwrap", "ServeHTTP":
+	case "Error", "String", "Unwrap":
 		return true
 	}
 	return false

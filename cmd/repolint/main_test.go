@@ -128,40 +128,6 @@ func Render() error { return render(context.Background()) }
 	}
 }
 
-func TestCtxRuleCoversServePackage(t *testing.T) {
-	// The serving layer drives the flow, so its exported long-running
-	// APIs must thread a context too — but http.Handler's ServeHTTP is
-	// interface-mandated and exempt.
-	root := writeTree(t, map[string]string{
-		"internal/serve/serve.go": `package serve
-
-import (
-	"context"
-	"net/http"
-)
-
-func tailor(ctx context.Context) error { return ctx.Err() }
-
-// Tailor hides the request's cancellation from the flow.
-func Tailor() error { return tailor(context.Background()) }
-
-type server struct{}
-
-// ServeHTTP cannot take a leading context; it gets one from the request.
-func (server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	_ = tailor(r.Context())
-}
-`,
-	})
-	issues, err := run(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(issues) != 1 || !strings.Contains(issues[0].Msg, "Tailor does long-running work") {
-		t.Fatalf("got %v, want exactly the Tailor issue (ServeHTTP exempt)", issues)
-	}
-}
-
 func TestFlagsMethodAndSelectorWrappers(t *testing.T) {
 	// The ctx rule sees through receivers: an exported wrapper that
 	// drives a ctx-taking method (or a selector call sharing a

@@ -29,6 +29,7 @@ import (
 	"bespoke/internal/equiv"
 	"bespoke/internal/layout"
 	"bespoke/internal/logic"
+	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/parallel"
 	"bespoke/internal/power"
@@ -240,24 +241,41 @@ func RunWorkloadHooked(ctx context.Context, core *cpu.Core, prog *asm.Program, w
 		}
 		stim.Apply(h.Cycles)
 		if h.Cycles >= max {
+			pc, err := readPC(h)
+			if err != nil {
+				return nil, stageErr(stage, netlist.None, err)
+			}
 			return nil, stageErr(stage, netlist.None,
-				fmt.Errorf("core: workload did not halt in %d cycles (pc=%#04x)", max, h.PCVal()))
+				fmt.Errorf("core: workload did not halt in %d cycles (pc=%#04x)", max, pc))
 		}
 		if hook != nil {
 			hook(h)
 		}
-		if h.State() == cpu.StateFETCH && halted(core, h) {
-			break
+		if h.State() == cpu.StateFETCH {
+			pc, err := readPC(h)
+			if err != nil {
+				return nil, stageErr(stage, netlist.None, err)
+			}
+			// The testbench halt convention: an unconditional self-jump
+			// with interrupts unable to fire.
+			if core.HaltsAt(pc) && h.Sim.Val[core.IrqTake] == logic.Zero {
+				break
+			}
 		}
 		h.StepCycle()
 	}
 	return &RunTrace{Out: h.Out, Cycles: h.Cycles, Toggles: append([]uint64(nil), h.Sim.ToggleCount...)}, nil
 }
 
-// halted implements the testbench halt convention: an unconditional
-// self-jump with interrupts unable to fire.
-func halted(core *cpu.Core, h *cpu.Harness) bool {
-	return core.HaltsAt(h.PCVal()) && h.Sim.Val[core.IrqTake] == logic.Zero
+// readPC reads the program counter. A concrete run whose PC holds unknown
+// bits (a program that branches on uninitialized inputs) has lost its
+// control flow: that is an error naming the cycle.
+func readPC(h *cpu.Harness) (uint16, error) {
+	pc, err := h.Reg(int(msp430.PC))
+	if err != nil {
+		return 0, fmt.Errorf("core: cycle %d: %w", h.Cycles, err)
+	}
+	return pc, nil
 }
 
 // blockPaths builds the STA macro arcs for the core's memories.
@@ -587,7 +605,7 @@ func UpdateMissing(ctx context.Context, base []*asm.Program, update *asm.Program
 	}
 	upd, c, err := Analyze(ctx, update, opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("analyzing update: %w", err)
+		return nil, nil, stageErr("analysis", netlist.None, fmt.Errorf("analyzing update: %w", err))
 	}
 	return union.Missing(upd), c, nil
 }

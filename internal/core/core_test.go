@@ -205,6 +205,27 @@ func TestUnionAnalysisErrorsAreFlowErrors(t *testing.T) {
 	}
 }
 
+// TestUpdateMissingErrorsAreFlowErrors: an update that fails its
+// analysis (an image below ROM) is a *FlowError in the analysis stage,
+// like a base program's, so a caller reports it stage-aware; a
+// cancelled context stays reachable through the wrapper.
+func TestUpdateMissingErrorsAreFlowErrors(t *testing.T) {
+	base := []*asm.Program{asm.MustAssemble(simpleAdd)}
+	low := asm.MustAssemble(strings.Replace(simpleAdd, ".org 0xF000", ".org 0x0200", 1))
+	_, _, err := UpdateMissing(context.Background(), base, low, symexec.Options{})
+	var fe *FlowError
+	if !errors.As(err, &fe) || fe.Stage != "analysis" || !strings.Contains(err.Error(), "analyzing update") {
+		t.Errorf("update below ROM: want a *FlowError in stage analysis, got %T: %v", err, err)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err = UpdateMissing(cancelled, base, base[0], symexec.Options{})
+	if !errors.As(err, &fe) || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled: want a *FlowError unwrapping to context.Canceled, got %T: %v", err, err)
+	}
+}
+
 // TestTailorCancelledPromptly: a pre-cancelled context must abort the
 // flow at the first hot-loop check, as a *FlowError unwrapping to
 // context.Canceled, without doing the expensive analysis.

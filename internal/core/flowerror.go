@@ -9,10 +9,10 @@ import (
 
 // FlowError is the structured failure of one pipeline stage. Every error
 // (and every recovered panic) leaving Tailor, TailorMulti, TailorCoarse,
-// Prove, UnionAnalysis or RunWorkload is a *FlowError, so a caller serving the
-// flow — a CLI or a batching service — can report which stage failed and,
-// when known, which gate was involved, instead of crashing or printing an
-// opaque message.
+// Prove, UnionAnalysis, UpdateMissing or RunWorkload is a *FlowError, so
+// a caller such as a CLI can report which stage failed and, when known,
+// which gate was involved, instead of crashing or printing an opaque
+// message.
 type FlowError struct {
 	// Stage names the pipeline stage that failed: "init", "analysis",
 	// "baseline-signoff", "cut" (cut and re-synthesis), "lint", "prove",

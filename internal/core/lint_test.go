@@ -95,52 +95,6 @@ func TestTailorRejectsCorruptedCut(t *testing.T) {
 	}
 }
 
-// TestCacheRehydrationLints proves the cache's decode path is guarded by
-// the same static gate as the cold flow: a cached encoding that decodes
-// fine but is structurally broken must fail rehydration.
-func TestCacheRehydrationLints(t *testing.T) {
-	p := asm.MustAssemble(simpleAdd)
-	tc := NewTailorCache()
-	if _, err := tc.Tailor(context.Background(), p, addWorkload(), Options{}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the stored encoding in place: decode, break the netlist
-	// structurally, re-encode. The bytes remain a valid codec payload.
-	tc.mu.Lock()
-	if len(tc.byKey) != 1 {
-		tc.mu.Unlock()
-		t.Fatalf("expected one cache entry, have %d", len(tc.byKey))
-	}
-	for _, el := range tc.byKey {
-		ent := el.Value.(*cacheEntry)
-		n, err := netlist.Decode(ent.bespokeBin)
-		if err != nil {
-			tc.mu.Unlock()
-			t.Fatal(err)
-		}
-		if corruptWithConstResidue(n) == netlist.None {
-			tc.mu.Unlock()
-			t.Fatal("no gate to corrupt in cached netlist")
-		}
-		ent.bespokeBin = netlist.Encode(n)
-	}
-	tc.mu.Unlock()
-
-	res, err := tc.Tailor(context.Background(), p, addWorkload(), Options{})
-	if err == nil || res != nil {
-		t.Fatal("corrupted cache entry rehydrated without error")
-	}
-	var fe *FlowError
-	if !errors.As(err, &fe) || fe.Stage != "lint" {
-		t.Fatalf("error %v, want *FlowError in stage lint", err)
-	}
-	var le *LintError
-	if !errors.As(err, &le) || le.Analyzer() != "const-residue" {
-		t.Fatalf("error %v, want a const-residue *LintError", err)
-	}
-}
-
 // TestTailoredCoreLintsClean holds the flow to more than the gate's
 // error threshold: a freshly tailored core must have zero findings of
 // any severity.

@@ -22,10 +22,10 @@ type ProofResult struct {
 	Miter   *equiv.MiterResult
 	// Induct summarizes the inductive invariant engine run for this
 	// program when Options.Induct was set (nil otherwise).
-	Induct *InductSummary `json:",omitempty"`
+	Induct *InductSummary
 }
 
-// InductSummary is the persisted outcome of one induct.Prove run.
+// InductSummary is the outcome of one induct.Prove run.
 type InductSummary struct {
 	// K is the deepest induction-ladder level that ran.
 	K int
@@ -37,13 +37,13 @@ type InductSummary struct {
 	Candidates int
 	Dropped    int
 	Queries    int64
-	Conflicts  int64 `json:",omitempty"`
+	Conflicts  int64
 	// BudgetExhausted reports a level was abandoned on budget (sound:
 	// fewer invariants proved).
-	BudgetExhausted bool `json:",omitempty"`
+	BudgetExhausted bool
 	// Provenance records per-invariant discharge depth and how many
-	// claim proofs used each one (base64 binary in JSON).
-	Provenance *induct.Provenance `json:",omitempty"`
+	// claim proofs used each one.
+	Provenance *induct.Provenance
 }
 
 // ErrNotEquivalent is the formal gate's verdict that a bespoke netlist

@@ -33,9 +33,7 @@ type ResilienceOptions struct {
 	// a negative value means zero tolerance — any visible SET fails.
 	MaxVisible float64
 	// Run executes the campaign (set it to faultinject.TailorGate).
-	// It is excluded from cache keys and persisted results: the knobs
-	// above fully determine the campaign's outcome.
-	Run ResilienceRunner `json:"-"`
+	Run ResilienceRunner
 }
 
 // ResilienceRunner is the campaign entry point the resilience stage
@@ -47,15 +45,15 @@ type ResilienceRunner func(ctx context.Context, base, bespoke *cpu.Core, prog *a
 type ModuleVuln struct {
 	// Module is the top-level builder module name ("glue" for gates in
 	// the root module).
-	Module string `json:"module"`
+	Module string
 	// Sites is the module's population of combinational SET sites.
-	Sites int `json:"sites"`
+	Sites int
 	// Injected counts the campaign's strikes that landed in this module;
 	// Masked, Latched and Visible partition them by outcome.
-	Injected int `json:"injected"`
-	Masked   int `json:"masked"`
-	Latched  int `json:"latched"`
-	Visible  int `json:"visible"`
+	Injected int
+	Masked   int
+	Latched  int
+	Visible  int
 }
 
 // VisibleFrac is the fraction of this module's injections that were
@@ -70,16 +68,16 @@ func (m ModuleVuln) VisibleFrac() float64 {
 // DesignVuln is one design's aggregate SET vulnerability.
 type DesignVuln struct {
 	// Sites is the design's combinational SET site population.
-	Sites int `json:"sites"`
+	Sites int
 	// Injected counts the strikes run; Masked, Latched and Visible
 	// partition them: bit-identical, latched-but-architecturally-silent,
 	// and architecturally visible (wrong outputs, wrong timing or hang).
-	Injected int `json:"injected"`
-	Masked   int `json:"masked"`
-	Latched  int `json:"latched"`
-	Visible  int `json:"visible"`
+	Injected int
+	Masked   int
+	Latched  int
+	Visible  int
 	// Modules is the per-module vulnerability map, sorted by name.
-	Modules []ModuleVuln `json:"modules"`
+	Modules []ModuleVuln
 }
 
 // VisibleFrac is the fraction of injections that were architecturally
@@ -92,14 +90,13 @@ func (d DesignVuln) VisibleFrac() float64 {
 }
 
 // ResilienceReport is the resilience stage's outcome: the same seeded
-// SET campaign on the baseline and the bespoke design. It is pure data
-// (JSON-serializable) so cached results persist it.
+// SET campaign on the baseline and the bespoke design.
 type ResilienceReport struct {
 	// Faults and Seed echo the campaign knobs that produced the report.
-	Faults   int        `json:"faults"`
-	Seed     uint64     `json:"seed"`
-	Baseline DesignVuln `json:"baseline"`
-	Bespoke  DesignVuln `json:"bespoke"`
+	Faults   int
+	Seed     uint64
+	Baseline DesignVuln
+	Bespoke  DesignVuln
 }
 
 // ResilienceError reports that the resilience signoff stage rejected the

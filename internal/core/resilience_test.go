@@ -11,6 +11,33 @@ import (
 	"bespoke/internal/cpu"
 )
 
+// cachedAdd mirrors the in-package simpleAdd workload: sum eight RAM
+// words and write the total to OUTPORT.
+const cachedAdd = `
+        .org 0xF000
+start:  mov #0x5A80, &WDTCTL
+        mov #STACKTOP, sp
+        mov #0x900, r4
+        clr r5
+        mov #8, r6
+loop:   add @r4+, r5
+        dec r6
+        jne loop
+        mov r5, &OUTPORT
+halt:   dint
+        jmp $
+        .org 0xFFFE
+        .word start
+`
+
+func cachedAddWorkload() *core.Workload {
+	ram := map[uint16]uint16{}
+	for i := 0; i < 8; i++ {
+		ram[0x900+uint16(2*i)] = uint16(i + 1)
+	}
+	return &core.Workload{RAM: ram}
+}
+
 // fakeRunner returns a ResilienceRunner that fabricates a report with
 // vis visible strikes out of 8 on the bespoke design, letting the gate
 // logic be tested without the cost (or the package cycle) of the real
@@ -98,43 +125,5 @@ func TestResilienceZeroTolerance(t *testing.T) {
 	}
 	if res.Resilience == nil || res.Resilience.Bespoke.Masked != 8 {
 		t.Fatalf("report not attached or wrong: %+v", res.Resilience)
-	}
-}
-
-// TestResilienceCacheKey: resilience knobs enter the cache key (same
-// knobs hit, different seeds miss) and the report round-trips through
-// the cached result.
-func TestResilienceCacheKey(t *testing.T) {
-	p := asm.MustAssemble(cachedAdd)
-	tc := core.NewTailorCache()
-	opts := core.Options{
-		Resilience: &core.ResilienceOptions{Faults: 8, Seed: 5, Run: fakeRunner(1)},
-	}
-	cold, err := tc.Tailor(context.Background(), p, cachedAddWorkload(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Resilience == nil {
-		t.Fatal("cold result carries no resilience report")
-	}
-	hit, err := tc.Tailor(context.Background(), p, cachedAddWorkload(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := tc.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("cache stats = %d hits, %d misses; want 1, 1", st.Hits, st.Misses)
-	}
-	if hit.Resilience == nil || hit.Resilience.Seed != 5 || hit.Resilience.Bespoke.Visible != 1 {
-		t.Fatalf("resilience report did not survive the cache: %+v", hit.Resilience)
-	}
-
-	reseeded := core.Options{
-		Resilience: &core.ResilienceOptions{Faults: 8, Seed: 6, Run: fakeRunner(1)},
-	}
-	if _, err := tc.Tailor(context.Background(), p, cachedAddWorkload(), reseeded); err != nil {
-		t.Fatal(err)
-	}
-	if st := tc.Stats(); st.Misses != 2 {
-		t.Fatalf("reseeded campaign hit a stale entry: %+v", st)
 	}
 }

@@ -22,7 +22,7 @@ func cosim(t *testing.T, src string, maxInsts int) (*Harness, *isasim.Machine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.PCVal(); got != m.Regs[msp430.PC] {
+	if got := pcOf(t, h); got != m.Regs[msp430.PC] {
 		t.Fatalf("reset vector mismatch: gate %#04x, isa %#04x", got, m.Regs[msp430.PC])
 	}
 	for i := 0; i < maxInsts; i++ {
@@ -465,11 +465,11 @@ isr0:   bic #0x10, 0(r1)    ; clear CPUOFF in the saved SR
 	for i := 0; i < 10; i++ {
 		h.StepCycle()
 	}
-	pc := h.PCVal()
+	pc := pcOf(t, h)
 	for i := 0; i < 50; i++ {
 		h.StepCycle()
 	}
-	if got := h.PCVal(); got != pc {
+	if got := pcOf(t, h); got != pc {
 		t.Fatalf("core not asleep: pc moved %#04x -> %#04x", pc, got)
 	}
 	if len(h.Out) != 1 {
@@ -487,4 +487,14 @@ isr0:   bic #0x10, 0(r1)    ; clear CPUOFF in the saved SR
 	if len(h.Out) != 2 || h.Out[1] != 0xA2 {
 		t.Fatalf("after wake out = %#v", h.Out)
 	}
+}
+
+// pcOf reads the program counter, failing the test on unknown bits.
+func pcOf(t *testing.T, h *Harness) uint16 {
+	t.Helper()
+	pc, err := h.Reg(int(msp430.PC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pc
 }

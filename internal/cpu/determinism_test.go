@@ -2,17 +2,15 @@ package cpu
 
 import (
 	"bytes"
+	"slices"
 	"testing"
-
-	"bespoke/internal/netlist"
 )
 
 // TestBuildDeterministic guards the reproducibility contract of the
-// builder DSL: constructing the full CPU twice must yield byte-identical
-// netlists, so layout, symbolic analysis and netlist hashes are stable
-// across runs. The canonical binary codec is the oracle - it encodes
-// every observable field (kinds, pins, modules, resets, names, ports) -
-// and the same bytes must survive a decode/re-encode round trip.
+// builder DSL: constructing the full CPU twice must yield identical
+// netlists (every gate's kind, pins, module, reset and name, and the
+// module, input and output tables), so layout, symbolic analysis and the
+// Verilog hand-off are stable across runs.
 func TestBuildDeterministic(t *testing.T) {
 	a := Build()
 	b := Build()
@@ -23,11 +21,7 @@ func TestBuildDeterministic(t *testing.T) {
 	if len(a.N.Gates) != len(b.N.Gates) {
 		t.Fatalf("gate counts differ: %d vs %d", len(a.N.Gates), len(b.N.Gates))
 	}
-	ba, bb := netlist.Encode(a.N), netlist.Encode(b.N)
-	if !bytes.Equal(ba, bb) {
-		if netlist.Hash(a.N) == netlist.Hash(b.N) {
-			t.Fatal("encodings differ but hashes collide (codec bug)")
-		}
+	if !slices.Equal(a.N.Gates, b.N.Gates) {
 		// Locate the first divergent gate for a useful failure message.
 		for i := range a.N.Gates {
 			if a.N.Gates[i] != b.N.Gates[i] {
@@ -35,19 +29,26 @@ func TestBuildDeterministic(t *testing.T) {
 					i, a.N.Gates[i], b.N.Gates[i])
 			}
 		}
-		t.Fatalf("encoded netlists differ (%d vs %d bytes) outside the gate table", len(ba), len(bb))
+	}
+	if !slices.Equal(a.N.Modules, b.N.Modules) {
+		t.Fatal("module tables differ between builds")
+	}
+	if !slices.Equal(a.N.Inputs, b.N.Inputs) {
+		t.Fatal("input ports differ between builds")
+	}
+	if !slices.Equal(a.N.Outputs, b.N.Outputs) {
+		t.Fatal("output ports differ between builds")
 	}
 
-	// Round trip: the canonical form must decode back to an equal design
-	// and re-encode to the same bytes.
-	dec, err := netlist.Decode(ba)
-	if err != nil {
-		t.Fatalf("Decode of CPU netlist: %v", err)
+	// The hand-off format must be stable too.
+	var va, vb bytes.Buffer
+	if err := a.N.WriteVerilog(&va, "core"); err != nil {
+		t.Fatal(err)
 	}
-	if err := dec.Validate(); err != nil {
-		t.Fatalf("decoded CPU netlist fails validation: %v", err)
+	if err := b.N.WriteVerilog(&vb, "core"); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(netlist.Encode(dec), ba) {
-		t.Fatal("CPU netlist round trip is not byte-identical")
+	if !bytes.Equal(va.Bytes(), vb.Bytes()) {
+		t.Fatal("Verilog of the two builds differs")
 	}
 }

@@ -99,15 +99,6 @@ func (h *Harness) Reg(r int) (uint16, error) {
 	return w.Val, nil
 }
 
-// PCVal returns the program counter.
-func (h *Harness) PCVal() uint16 {
-	v, err := h.Reg(int(msp430.PC))
-	if err != nil {
-		panic(err) // panic-ok: the fixed register layout guarantees the bus exists
-	}
-	return v
-}
-
 // SetP1In drives the P1 input port pins.
 func (h *Harness) SetP1In(v uint16) {
 	h.Sim.DriveBus(h.Core.P1In, logic.KnownWord(v))

@@ -154,12 +154,12 @@ type ClaimResult struct {
 	// Used is the provenance trail of a ProvedSAT claim: indexes into
 	// Env.Invariants of the proved invariants its UNSAT core relied on
 	// (nil when the proof needed none).
-	Used []int32 `json:",omitempty"`
+	Used []int32
 	// K is the induction depth backing the proof: for ProvedInduct the
 	// depth of the claim's own induction core, for ProvedSAT the
 	// deepest K among the invariants in Used (0 = no induction behind
 	// it).
-	K int `json:",omitempty"`
+	K int
 }
 
 // Report is the outcome of ProveClaims.

@@ -1,7 +1,6 @@
 package induct
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 
@@ -21,11 +20,9 @@ type InvariantRecord struct {
 	Used int `json:"used"`
 }
 
-// Provenance is the audit trail persisted alongside a proof report: which
-// proved invariants the sweep had available, how deeply each was
-// discharged, and how many per-claim proofs actually rested on each. It
-// round-trips through a compact self-delimiting binary form (base64 in
-// JSON) so cached reports stay small and diffable.
+// Provenance is the audit trail of a proof report: which proved
+// invariants the sweep had available, how deeply each was discharged,
+// and how many per-claim proofs actually rested on each.
 type Provenance struct {
 	Invariants []InvariantRecord
 }
@@ -49,9 +46,6 @@ func BuildProvenance(invs []equiv.Invariant, rep *equiv.Report) *Provenance {
 // provMagic versions the binary encoding.
 const provMagic = "bPv1"
 
-// maxProvRecords bounds decoding against corrupt counts.
-const maxProvRecords = 1 << 20
-
 // appendUvarint appends v in unsigned varint form.
 func appendUvarint(b []byte, v uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
@@ -59,7 +53,8 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return append(b, tmp[:n]...)
 }
 
-// Encode renders the canonical binary form.
+// Encode renders the canonical binary form, the input of a provenance
+// digest.
 func (p *Provenance) Encode() []byte {
 	b := []byte(provMagic)
 	b = appendUvarint(b, uint64(len(p.Invariants)))
@@ -72,80 +67,6 @@ func (p *Provenance) Encode() []byte {
 		b = appendUvarint(b, uint64(r.Used))
 	}
 	return b
-}
-
-// DecodeProvenance parses the binary form. Every length and count is
-// bounds-checked before use, so arbitrary input returns an error rather
-// than panicking, and any accepted input re-encodes to the identical
-// bytes (a fixed point — the encoding is canonical).
-func DecodeProvenance(b []byte) (*Provenance, error) {
-	if len(b) < len(provMagic) || string(b[:len(provMagic)]) != provMagic {
-		return nil, fmt.Errorf("induct: provenance magic missing")
-	}
-	b = b[len(provMagic):]
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("induct: provenance truncated")
-		}
-		b = b[n:]
-		return v, nil
-	}
-	count, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count > maxProvRecords {
-		return nil, fmt.Errorf("induct: provenance record count %d too large", count)
-	}
-	p := &Provenance{}
-	for i := uint64(0); i < count; i++ {
-		var r InvariantRecord
-		nameLen, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > uint64(len(b)) {
-			return nil, fmt.Errorf("induct: provenance name truncated")
-		}
-		r.Name = string(b[:nameLen])
-		b = b[nameLen:]
-		for _, dst := range []*int{&r.K, &r.Cubes, &r.Used} {
-			v, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if v > 1<<31 {
-				return nil, fmt.Errorf("induct: provenance field %d out of range", v)
-			}
-			*dst = int(v)
-		}
-		p.Invariants = append(p.Invariants, r)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("induct: %d trailing bytes after provenance", len(b))
-	}
-	return p, nil
-}
-
-// MarshalText implements encoding.TextMarshaler (base64 of Encode), so a
-// Provenance embeds directly in cached JSON reports.
-func (p *Provenance) MarshalText() ([]byte, error) {
-	return []byte(base64.StdEncoding.EncodeToString(p.Encode())), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (p *Provenance) UnmarshalText(text []byte) error {
-	raw, err := base64.StdEncoding.DecodeString(string(text))
-	if err != nil {
-		return fmt.Errorf("induct: provenance base64: %w", err)
-	}
-	dec, err := DecodeProvenance(raw)
-	if err != nil {
-		return err
-	}
-	*p = *dec
-	return nil
 }
 
 // String renders a short human-readable summary.

@@ -2,7 +2,9 @@ package induct
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -17,41 +19,99 @@ func sampleProvenance() *Provenance {
 	}}
 }
 
+// decodeProvenance inverts Encode. It is the test oracle for the
+// property TestInductMultPinned's digest rests on: Encode loses no field
+// and no record boundary, so two provenances that hash alike are alike.
+// Every length and count is bounds-checked before use, so arbitrary
+// input returns an error rather than panicking.
+func decodeProvenance(b []byte) (*Provenance, error) {
+	if len(b) < len(provMagic) || string(b[:len(provMagic)]) != provMagic {
+		return nil, fmt.Errorf("provenance magic missing")
+	}
+	b = b[len(provMagic):]
+	readUvarint := func() (uint64, error) {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return 0, fmt.Errorf("provenance truncated")
+		}
+		if n != len(binary.AppendUvarint(nil, v)) {
+			return 0, fmt.Errorf("provenance varint not minimal")
+		}
+		b = b[n:]
+		return v, nil
+	}
+	count, err := readUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if count > uint64(len(b)) { // every record takes at least one byte
+		return nil, fmt.Errorf("provenance record count %d too large", count)
+	}
+	p := &Provenance{}
+	for i := uint64(0); i < count; i++ {
+		var r InvariantRecord
+		nameLen, err := readUvarint()
+		if err != nil {
+			return nil, err
+		}
+		if nameLen > uint64(len(b)) {
+			return nil, fmt.Errorf("provenance name truncated")
+		}
+		r.Name = string(b[:nameLen])
+		b = b[nameLen:]
+		for _, dst := range []*int{&r.K, &r.Cubes, &r.Used} {
+			v, err := readUvarint()
+			if err != nil {
+				return nil, err
+			}
+			if v > 1<<31 {
+				return nil, fmt.Errorf("provenance field %d out of range", v)
+			}
+			*dst = int(v)
+		}
+		p.Invariants = append(p.Invariants, r)
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after provenance", len(b))
+	}
+	return p, nil
+}
+
 func TestProvenanceRoundTrip(t *testing.T) {
 	p := sampleProvenance()
 	enc := p.Encode()
-	dec, err := DecodeProvenance(enc)
+	dec, err := decodeProvenance(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(p, dec) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", p, dec)
 	}
-	// Through JSON (the diskcache path).
-	js, err := json.Marshal(p)
+	// Through JSON, the form bespoke-prove -json reports the records in.
+	js, err := json.Marshal(p.Invariants)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var back Provenance
+	var back []InvariantRecord
 	if err := json.Unmarshal(js, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if !reflect.DeepEqual(*p, back) {
-		t.Fatalf("JSON round trip mismatch:\n%+v\n%+v", *p, back)
+	if !reflect.DeepEqual(p.Invariants, back) {
+		t.Fatalf("JSON round trip mismatch:\n%+v\n%+v", p.Invariants, back)
 	}
 }
 
 func TestProvenanceRejectsCorruption(t *testing.T) {
 	enc := sampleProvenance().Encode()
-	if _, err := DecodeProvenance(enc[:len(enc)-1]); err == nil {
+	if _, err := decodeProvenance(enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated encoding accepted")
 	}
-	if _, err := DecodeProvenance(append(enc, 0)); err == nil {
+	if _, err := decodeProvenance(append(enc, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	bad := append([]byte(nil), enc...)
 	bad[0] ^= 0xFF
-	if _, err := DecodeProvenance(bad); err == nil {
+	if _, err := decodeProvenance(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -71,10 +131,10 @@ func TestBuildProvenance(t *testing.T) {
 	}
 }
 
-// FuzzProvenanceDecode holds DecodeProvenance to the diskcache contract
-// (see FuzzDiskEntryDecode): arbitrary input must never panic, and any
-// accepted input must re-encode to the identical bytes — the encoding is
-// canonical, so decode/encode is a fixed point.
+// FuzzProvenanceDecode holds Encode to being canonical: arbitrary input
+// never panics the decoder, and any input it accepts re-encodes to the
+// identical bytes, so each provenance has exactly one encoding and one
+// digest.
 func FuzzProvenanceDecode(f *testing.F) {
 	valid := sampleProvenance().Encode()
 	f.Add(valid)
@@ -91,7 +151,7 @@ func FuzzProvenanceDecode(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeProvenance(data) // must not panic
+		p, err := decodeProvenance(data) // must not panic
 		if err != nil {
 			return
 		}

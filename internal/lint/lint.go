@@ -4,8 +4,8 @@
 // SpyGlass-class netlist lint before and after every netlist transform;
 // this package plays that role for the bespoke flow, so every produced
 // netlist — the elaborated base core, every cut-and-stitched bespoke
-// design, every cache rehydration — gets a cheap, workload-independent
-// correctness check.
+// design, every netlist read back from Verilog — gets a cheap,
+// workload-independent correctness check.
 //
 // The engine is a registry of independent, individually-addressable
 // analyzers (see Analyzers). Each analyzer scans one class of structural

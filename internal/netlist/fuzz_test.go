@@ -1,86 +1,74 @@
 package netlist_test
 
-// The codec fuzzer lives in an external test package so the seed corpus
-// can include the real designs the cache stores: the elaborated base
-// core and a cut-and-resynthesized variant (importing cpu or core from
-// inside package netlist would be a cycle).
+// The reader fuzzer lives in an external test package so the seed corpus
+// can include the real core and the accepted netlists can go through
+// lint (importing cpu or lint from inside package netlist would be a
+// cycle).
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
-	"bespoke/internal/core"
 	"bespoke/internal/cpu"
+	"bespoke/internal/lint"
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
 )
 
-// FuzzDecode proves the binary codec is safe on hostile input: whatever
-// bytes arrive, Decode must return an error rather than panic or
-// over-allocate, and anything it does accept must re-encode to a stable
-// canonical form.
+// FuzzDecode holds ReadVerilog, the one reader of netlist files, to the
+// contract of a decoder of outside input: whatever bytes arrive, it
+// returns an error rather than panic, and any netlist it accepts passes
+// Validate and lint.Run.
 func FuzzDecode(f *testing.F) {
-	// A tiny hand-built netlist with every field class exercised.
+	// A four-gate netlist: an input, an inverter, a reset-to-1 flop and
+	// an AND driving the output port.
 	small := netlist.New()
 	a := small.Add(netlist.Gate{Kind: netlist.Input, Name: "a"})
-	m := small.AddModule("top/u0")
-	g := small.Add(netlist.Gate{Kind: netlist.Not, In: [3]netlist.GateID{a}, Module: m})
+	g := small.Add(netlist.Gate{Kind: netlist.Not, In: [3]netlist.GateID{a}})
 	q := small.Add(netlist.Gate{Kind: netlist.Dff, In: [3]netlist.GateID{g}, Reset: logic.One})
-	small.MarkOutput("q", q)
-	f.Add(netlist.Encode(small))
-
-	// The base core, and a tailored-style variant that has been through
-	// cut + re-synthesis — the two shapes the tailoring cache round-trips.
-	base := cpu.Build()
-	enc := netlist.Encode(base.N)
-	f.Add(enc)
-
-	tailored := base.Clone()
-	toggled := make([]bool, len(tailored.N.Gates))
-	constVal := make([]logic.V, len(tailored.N.Gates))
-	for i := range toggled {
-		toggled[i] = true
-	}
-	// Statically park the debug unit, like a cut of a debugger-free
-	// application would.
-	for _, id := range tailored.N.GatesByModule()["dbg"] {
-		if !tailored.N.Gates[id].Kind.IsSeq() && tailored.N.Gates[id].Kind.NumInputs() > 0 {
-			toggled[id] = false
-			constVal[id] = logic.Zero
-		}
-	}
-	if _, _, err := core.CutAndResynthesize(tailored, toggled, constVal); err != nil {
+	y := small.Add(netlist.Gate{Kind: netlist.And, In: [3]netlist.GateID{a, q}})
+	small.MarkOutput("y", y)
+	var b bytes.Buffer
+	if err := small.WriteVerilog(&b, "small"); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(netlist.Encode(tailored.N))
+	src := bytes.Clone(b.Bytes())
+	f.Add(src)
 
-	// Malformed shapes: truncations, a flipped byte, bad magic, and a
-	// forged huge-count header.
-	f.Add(enc[:len(enc)/2])
-	f.Add(enc[:5])
-	corrupt := bytes.Clone(enc)
+	// The head of the base core: real port, wire, constant and instance
+	// lines, cut off before most of the nets they read are defined.
+	b.Reset()
+	if err := cpu.Build().N.WriteVerilog(&b, "core"); err != nil {
+		f.Fatal(err)
+	}
+	head := b.Bytes()[:4096]
+	f.Add(head[:bytes.LastIndexByte(head, '\n')+1])
+
+	// Malformed shapes: truncations, a flipped byte, text that is not
+	// Verilog, nothing at all, a net driven twice and an input port
+	// declared twice.
+	f.Add(src[:len(src)/2])
+	f.Add(src[:5])
+	corrupt := bytes.Clone(src)
 	corrupt[len(corrupt)/3] ^= 0x40
 	f.Add(corrupt)
 	f.Add([]byte("not a netlist"))
 	f.Add([]byte{})
-	f.Add(append([]byte("BNL1"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
+	f.Add([]byte("module m();\n  input n0;\n  BESPOKE_NOT g5(.y(n5), .a(n0));\n" +
+		"  BESPOKE_BUF g6(.y(n5), .a(n0));\nendmodule\n"))
+	f.Add([]byte("module m();\n  input n0;\n  input n0;\nendmodule\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := netlist.Decode(data)
+		n, err := netlist.ReadVerilog(bytes.NewReader(data))
 		if err != nil {
 			return // rejected, which is always acceptable
 		}
-		// Accepted input must reach a canonical fixed point: the decoded
-		// netlist re-encodes, and that encoding decodes to byte-identical
-		// output. (The raw input itself may be non-minimal varint coding,
-		// so it is not required to equal its own re-encoding.)
-		canon := netlist.Encode(n)
-		n2, err := netlist.Decode(canon)
-		if err != nil {
-			t.Fatalf("re-decode of canonical encoding failed: %v", err)
+		if err := n.Validate(); err != nil {
+			t.Fatalf("accepted netlist fails Validate: %v", err)
 		}
-		if !bytes.Equal(netlist.Encode(n2), canon) {
-			t.Fatal("canonical encoding is not a fixed point")
+		if _, err := lint.Run(context.Background(), n, lint.Config{}); err != nil {
+			t.Fatalf("accepted netlist fails lint.Run: %v", err)
 		}
 	})
 }

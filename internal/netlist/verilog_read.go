@@ -12,7 +12,11 @@ import (
 // ReadVerilog parses the structural subset WriteVerilog emits (BESPOKE_*
 // primitive instances, constant assigns, output assigns) back into a
 // netlist, so tailored designs can round-trip through the interchange
-// format. It is not a general Verilog parser.
+// format. It is not a general Verilog parser. Every gate is named after
+// the net it drives, so a finding on the parsed netlist can be found in
+// the file. A net, input port or constant defined twice is an error:
+// keeping either driver would hide the conflict from the multi-driven
+// analyzer.
 func ReadVerilog(r io.Reader) (*Netlist, error) {
 	n := New()
 	names := map[string]GateID{} // verilog net name -> gate
@@ -25,10 +29,15 @@ func ReadVerilog(r io.Reader) (*Netlist, error) {
 	var outputs []string
 	outputAssign := map[string]string{}
 
-	define := func(name string, g Gate) GateID {
+	lineNo := 0
+	define := func(name string, g Gate) (GateID, error) {
+		if _, dup := names[name]; dup {
+			return None, fmt.Errorf("verilog line %d: net %q defined twice", lineNo, name)
+		}
+		g.Name = name
 		id := n.Add(g)
 		names[name] = id
-		return id
+		return id, nil
 	}
 	ref := func(gate GateID, pin int, net string) {
 		if id, ok := names[net]; ok {
@@ -40,7 +49,6 @@ func ReadVerilog(r io.Reader) (*Netlist, error) {
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -57,7 +65,9 @@ func ReadVerilog(r io.Reader) (*Netlist, error) {
 				if p == "clk" || p == "rst" {
 					continue
 				}
-				define(p, Gate{Kind: Input, Name: p})
+				if _, err := define(p, Gate{Kind: Input}); err != nil {
+					return nil, err
+				}
 			}
 
 		case strings.HasPrefix(line, "output"):
@@ -77,13 +87,20 @@ func ReadVerilog(r io.Reader) (*Netlist, error) {
 			if lhs == "" || rhs == "" {
 				return nil, fmt.Errorf("verilog line %d: bad assign %q", lineNo, line)
 			}
+			var err error
 			switch rhs {
 			case "1'b0":
-				define(lhs, Gate{Kind: Const0})
+				_, err = define(lhs, Gate{Kind: Const0})
 			case "1'b1":
-				define(lhs, Gate{Kind: Const1})
+				_, err = define(lhs, Gate{Kind: Const1})
 			default:
+				if _, dup := outputAssign[lhs]; dup {
+					err = fmt.Errorf("verilog line %d: %q assigned twice", lineNo, lhs)
+				}
 				outputAssign[lhs] = rhs
+			}
+			if err != nil {
+				return nil, err
 			}
 
 		case strings.HasPrefix(line, "BESPOKE_"):
@@ -99,7 +116,10 @@ func ReadVerilog(r io.Reader) (*Netlist, error) {
 			if strings.HasPrefix(line, "BESPOKE_DFF1") {
 				reset = logic.One
 			}
-			id := define(pins[outPin], Gate{Kind: kind, Reset: reset})
+			id, err := define(pins[outPin], Gate{Kind: kind, Reset: reset})
+			if err != nil {
+				return nil, err
+			}
 			switch kind {
 			case Buf, Not:
 				ref(id, 0, pins["a"])

@@ -109,6 +109,11 @@ func TestReadVerilogRejectsGarbage(t *testing.T) {
 		"  FOO g1(.y(n1));\n",
 		"  assign x =\n",
 		"  BESPOKE_AND g1(.y(n1), .a(nope), .b(n1));\n",
+		// A net driven twice, and an input port declared twice.
+		"  input n0;\n  BESPOKE_NOT g5(.y(n5), .a(n0));\n  BESPOKE_BUF g6(.y(n5), .a(n0));\n",
+		"  input n0;\n  input n0;\n",
+		"  input n0;\n  assign n0 = 1'b1;\n",
+		"  output y;\n  input n0, n1;\n  assign y = n0;\n  assign y = n1;\n",
 	} {
 		if _, err := ReadVerilog(strings.NewReader("module m();\n" + src + "endmodule\n")); err == nil {
 			t.Errorf("accepted %q", src)

@@ -18,6 +18,7 @@ import (
 	"bespoke/internal/cpu"
 	"bespoke/internal/layout"
 	"bespoke/internal/logic"
+	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
 	"bespoke/internal/power"
 )
@@ -87,7 +88,11 @@ func Analyze(prog *asm.Program, w *core.Workload) (*Report, error) {
 		if h.Cycles >= max {
 			return nil, fmt.Errorf("powergate: workload did not halt in %d cycles", max)
 		}
-		if c.HaltsAt(h.PCVal()) && h.Sim.Val[c.IrqTake] == logic.Zero && h.State() == cpu.StateFETCH {
+		pc, err := h.Reg(int(msp430.PC))
+		if err != nil {
+			return nil, fmt.Errorf("powergate: cycle %d: %w", h.Cycles, err)
+		}
+		if c.HaltsAt(pc) && h.Sim.Val[c.IrqTake] == logic.Zero && h.State() == cpu.StateFETCH {
 			break
 		}
 		for i := range h.Sim.TagTouched {

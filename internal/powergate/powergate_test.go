@@ -51,3 +51,12 @@ func TestIdleModulesDetected(t *testing.T) {
 		t.Errorf("frontend idle %.2f, want ~0 (it runs every cycle)", feIdle)
 	}
 }
+
+// TestUnknownPCIsAnError: binSearch without its workload branches on
+// uninitialized RAM, so its program counter picks up unknown bits; the
+// oracle returns an error instead of panicking its caller.
+func TestUnknownPCIsAnError(t *testing.T) {
+	if _, err := Analyze(bench.ByName("binSearch").MustProg(), nil); err == nil {
+		t.Fatal("a run with an unknown program counter was accepted")
+	}
+}
