@@ -8,7 +8,7 @@
 //
 //	bespoke-lint                 # lint the elaborated base core
 //	bespoke-lint prog.s [more.s] # tailor first, lint the bespoke core
-//	bespoke-lint -bench mult     # same, for an embedded Table 1 benchmark
+//	bespoke-lint -bench mult     # same, for a Table 1 benchmark and its inputs
 //	bespoke-lint -netlist out.v  # lint a netlist written by bespoke -verilog
 //
 // The exit status is 0 when the netlist is clean, 1 when there are
@@ -109,9 +109,12 @@ func lintFile(ctx context.Context, path string, cfg lint.Config) (*netlist.Netli
 
 // buildTarget returns the core to lint: the plain elaboration with no
 // arguments, or the bespoke design tailored to the given programs
-// (assembly files and/or embedded benchmarks).
+// (assembly files and/or embedded benchmarks). An embedded benchmark
+// runs its catalog's first input set, so input-driven programs can be
+// signed off; an assembly file runs with no inputs.
 func buildTarget(ctx context.Context, benches string, files []string) (string, *cpu.Core, error) {
 	var progs []*asm.Program
+	var ws []*core.Workload
 	var names []string
 	if benches != "" {
 		for _, name := range strings.Split(benches, ",") {
@@ -120,6 +123,7 @@ func buildTarget(ctx context.Context, benches string, files []string) (string, *
 				return "", nil, fmt.Errorf("unknown benchmark %q (see internal/bench)", name)
 			}
 			progs = append(progs, b.MustProg())
+			ws = append(ws, b.Workload(1))
 			names = append(names, name)
 		}
 	}
@@ -136,14 +140,15 @@ func buildTarget(ctx context.Context, benches string, files []string) (string, *
 			return "", nil, fmt.Errorf("%s: %w", f, err)
 		}
 		progs = append(progs, p)
+		ws = append(ws, nil)
 		names = append(names, f)
 	}
 	var res *core.Result
 	var err error
 	if len(progs) == 1 {
-		res, err = core.Tailor(ctx, progs[0], nil, core.Options{})
+		res, err = core.Tailor(ctx, progs[0], ws[0], core.Options{})
 	} else {
-		res, err = core.TailorMulti(ctx, progs, nil, core.Options{})
+		res, err = core.TailorMulti(ctx, progs, ws, core.Options{})
 	}
 	if err != nil {
 		return "", nil, err

@@ -65,3 +65,22 @@ func tally(rep *lint.Report) map[string]int {
 	}
 	return out
 }
+
+// TestBenchTargetRunsItsWorkload: -bench tailors an embedded benchmark
+// under its catalog's inputs. binSearch reads its key and table from
+// RAM, so with no inputs its baseline signoff stops on an unknown
+// register; with them its bespoke core is built and lints clean.
+func TestBenchTargetRunsItsWorkload(t *testing.T) {
+	ctx := context.Background()
+	target, c, err := buildTarget(ctx, "binSearch", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.LintCore(ctx, c, lint.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 0 {
+		t.Errorf("%s: %d findings, want clean", target, len(rep.Findings))
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"bespoke/internal/bench"
@@ -11,20 +12,32 @@ import (
 	"bespoke/internal/equiv"
 )
 
+// multInvariantsSHA256 is the SHA-256 of mult's proved invariant set:
+// every proved invariant's name, discharge depth and cube count, in
+// candidate order, without use counts. The greatest k-inductive subset
+// of the candidates is unique, so a change to the solver's search that
+// exhausts no budget keeps this digest.
+const multInvariantsSHA256 = "44892e9314ddbcf0ba38c273c1f83ed19a916e748758c2da05ed40204498f53d"
+
 // multProvenanceSHA256 is the SHA-256 of mult's induction provenance
-// (Provenance.Encode: every proved invariant's name, discharge depth,
-// cube count and claim-proof use count). A change to the induction
-// engine that keeps this digest and the tallies below proves exactly the
-// same invariants at exactly the same depths on the real core.
-const multProvenanceSHA256 = "38a076f0b342550f15ee226bc4d8112aa40089955d8aaf09bd40dab6808ff673"
+// (Provenance.Encode: the invariant set above plus each invariant's
+// claim-proof use count). The use counts come from the UNSAT cores of
+// the claim proofs, so a change to the solver's search may move them
+// and re-record this digest; a change to the induction engine or to
+// the solver's speed alone keeps it.
+const multProvenanceSHA256 = "31f2d56feaf5db23a3096bec77d133c09747dd6b7164c237e454d633a1b15322"
 
 // TestInductMultPinned runs the full flow with k-induction on mult's real
 // core and pins its proof outputs: the candidate pool, what the ladder
-// drops and proves, the per-claim verdicts and the provenance digest.
-// Performance work on internal/induct and internal/sat must leave every
-// one of them unchanged. The claim proofs run on one worker: with more,
-// which solver proves which claim varies run to run, and with it the
-// UNSAT cores behind the provenance's use counts.
+// drops and proves, the per-claim verdicts and two digests. It splits
+// them by what the solver's search may move. While no query runs out of
+// budget, the counts, verdicts and invariant-set digest follow from the
+// candidates alone, so performance work on internal/induct and
+// internal/sat must keep them, search changes included. The provenance
+// digest adds the UNSAT-core use counts, which a search change may move
+// and which anything else must keep. The claim proofs run on one
+// worker: with more, which solver proves which claim varies run to run,
+// and with it the UNSAT cores behind the provenance's use counts.
 func TestInductMultPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping real-core k-induction")
@@ -66,6 +79,13 @@ func TestInductMultPinned(t *testing.T) {
 	}
 	if is.BudgetExhausted {
 		t.Error("an induction level ran out of conflict budget")
+	}
+	inv := sha256.New()
+	for _, r := range is.Provenance.Invariants {
+		fmt.Fprintf(inv, "%s %d %d\n", r.Name, r.K, r.Cubes)
+	}
+	if got := hex.EncodeToString(inv.Sum(nil)); got != multInvariantsSHA256 {
+		t.Errorf("invariant set SHA-256 = %s, want %s", got, multInvariantsSHA256)
 	}
 	sum := sha256.Sum256(is.Provenance.Encode())
 	if got := hex.EncodeToString(sum[:]); got != multProvenanceSHA256 {

@@ -16,7 +16,7 @@ import (
 // some model, failed-assumption set or Stats delta. A change meant to
 // leave the search alone (clause storage, propagation speed) must keep
 // it; a change meant to alter the search re-records it and says so.
-const searchDigest = "436f970a07fb3023f375e1748040297773adf178d3141e92a9bdf67cad14795b"
+const searchDigest = "84b1f7f3a913b945568ae770024bd7b89480d01097f43f5702c6dc6f1b643724"
 
 // pinLog hashes each Solve's outcome and the Stats it spent.
 type pinLog struct {

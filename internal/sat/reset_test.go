@@ -107,6 +107,7 @@ func TestResetMatchesNew(t *testing.T) {
 		{what: "model", in: func(s *Solver) bool { return s.model != nil }},
 		{what: "failed assumptions", in: func(s *Solver) bool { return len(s.conflict) > 0 }},
 		{what: "heap", in: func(s *Solver) bool { return len(s.order.data) > 0 }},
+		{what: "decision cursor", in: func(s *Solver) bool { return s.next > 0 }},
 	}
 	reused := New()
 	for seed := int64(0); seed < 60; seed++ {

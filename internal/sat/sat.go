@@ -1,8 +1,9 @@
 // Package sat is a pure-Go CDCL (conflict-driven clause learning) SAT
 // solver in the MiniSat lineage: two-literal watched propagation over one
 // flat clause arena, with binary clauses propagated from their watch
-// entries alone, VSIDS-style variable activity with phase saving,
-// first-UIP conflict analysis with clause learning and basic
+// entries alone, VSIDS-style variable activity with phase saving (a
+// heap over the variables conflicts have bumped, creation order for the
+// rest), first-UIP conflict analysis with clause learning and basic
 // self-subsumption minimization, Luby restarts, activity-driven
 // learnt-clause database reduction, and incremental solving under
 // assumptions with final-conflict extraction.
@@ -156,7 +157,8 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	order    heap // max-activity variable order
+	order    heap // max-activity order of the bumped variables
+	next     Var  // no unassigned never-bumped variable lies below it
 	phase    []bool
 
 	seen     []bool
@@ -209,7 +211,8 @@ func (s *Solver) Reset() {
 	}
 }
 
-// NewVar introduces a fresh variable.
+// NewVar introduces a fresh variable. It starts never bumped, at an
+// index no lower than the decision cursor s.next.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.level))
 	s.vals = append(s.vals, lUndef, lUndef)
@@ -224,7 +227,6 @@ func (s *Solver) NewVar() Var {
 		s.watches = append(s.watches, nil, nil)
 	}
 	s.order.pos = append(s.order.pos, -1)
-	s.order.insert(v, 0)
 	return v
 }
 
@@ -553,23 +555,41 @@ func (s *Solver) cancelUntil(lvl int32) {
 		s.phase[v] = !l.Negated()
 		s.vals[l], s.vals[l^1] = lUndef, lUndef
 		s.reason[v] = -1
-		s.order.insert(v, s.activity[v])
+		if s.activity[v] > 0 {
+			s.order.insert(v, s.activity[v])
+		} else if v < s.next {
+			s.next = v
+		}
 	}
 	s.trail = s.trail[:s.lim[lvl]]
 	s.lim = s.lim[:lvl]
 	s.qhead = len(s.trail)
 }
 
+// bumpVar raises v's activity. A variable with activity above 0 is
+// bumped: it is decided from the heap, which it joins here if it is
+// unassigned (analysis bumps only assigned variables, which cancelUntil
+// inserts once they are unassigned).
 func (s *Solver) bumpVar(v Var) {
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
+		// An activity that underflows to 0 makes its variable never
+		// bumped again: it leaves the heap and, if unassigned, pulls the
+		// cursor back to it.
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
+			if s.activity[i] == 0 && Var(i) < s.next && s.vals[Pos(Var(i))] == lUndef {
+				s.next = Var(i)
+			}
 		}
 		s.order.scale(1e-100)
 		s.varInc *= 1e-100
 	}
-	s.order.update(v, s.activity[v])
+	if s.order.pos[v] >= 0 {
+		s.order.update(v, s.activity[v])
+	} else if s.vals[Pos(v)] == lUndef {
+		s.order.insert(v, s.activity[v])
+	}
 }
 
 // bumpClause counts one more use of a clause in conflict analysis. The
@@ -587,17 +607,26 @@ func (s *Solver) clauseAct(ref int32) float32 {
 func (s *Solver) decayVar() { s.varInc /= 0.95 }
 
 // pickBranch selects the unassigned variable with the highest activity,
-// using the saved phase.
+// using the saved phase. Every unassigned bumped variable is in the
+// heap, so once the heap holds none, every unassigned variable has
+// activity 0 and the lowest-numbered one is decided: the cursor only
+// has to skip assigned variables.
 func (s *Solver) pickBranch() Lit {
 	for {
 		v, ok := s.order.removeMax()
 		if !ok {
-			return LitUndef
+			break
 		}
 		if s.vals[Pos(v)] == lUndef {
 			return MkLit(v, !s.phase[v])
 		}
 	}
+	for ; int(s.next) < len(s.level); s.next++ {
+		if v := s.next; s.vals[Pos(v)] == lUndef {
+			return MkLit(v, !s.phase[v])
+		}
+	}
+	return LitUndef
 }
 
 // reduceDB removes roughly half of the learnt clauses, lowest activity
@@ -852,6 +881,7 @@ func (s *Solver) FailedAssumptions() []Lit {
 }
 
 // heap is a max-heap over variable activities with position tracking.
+// It holds the bumped variables, each unassigned one among them.
 // Each entry carries its variable's activity, kept equal to the solver's
 // activity array, so comparisons read the heap alone.
 type heap struct {
@@ -881,10 +911,26 @@ func (h *heap) update(v Var, act float64) {
 }
 
 // scale multiplies every entry's activity by f, as the solver does its
-// activity array.
+// activity array, and drops the entries that underflow to 0. Scaling
+// keeps the heap order; dropping entries rebuilds it.
 func (h *heap) scale(f float64) {
-	for i := range h.data {
-		h.data[i].act *= f
+	kept := h.data[:0]
+	for _, e := range h.data {
+		if e.act *= f; e.act > 0 {
+			kept = append(kept, e)
+		} else {
+			h.pos[e.v] = -1
+		}
+	}
+	if len(kept) == len(h.data) {
+		return
+	}
+	h.data = kept
+	for i, e := range kept {
+		h.pos[e.v] = int32(i)
+	}
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 }
 
