@@ -27,7 +27,8 @@ type ProofResult struct {
 
 // InductSummary is the outcome of one induct.Prove run.
 type InductSummary struct {
-	// K is the deepest induction-ladder level that ran.
+	// K mirrors induct.Result.K: the ladder depth by which every
+	// candidate is proved or dropped by a base check.
 	K int
 	// Invariants counts the proved non-claim invariants handed to the
 	// prover; Core counts claims proved as members of the inductive core.
@@ -38,8 +39,8 @@ type InductSummary struct {
 	Dropped    int
 	Queries    int64
 	Conflicts  int64
-	// BudgetExhausted reports a level was abandoned on budget (sound:
-	// fewer invariants proved).
+	// BudgetExhausted reports a check was abandoned on budget (sound:
+	// fewer invariants proved, or looser K labels).
 	BudgetExhausted bool
 	// Provenance records per-invariant discharge depth and how many
 	// claim proofs used each one.

@@ -24,31 +24,37 @@
 // themselves join the candidate pool, so a claim can be proved outright
 // as a member of the inductive core.
 //
-// Discharge is a Houdini-style greatest-fixpoint over a k-ladder
-// (k = 1..K). At each level two solvers are built over equiv's exported
-// frame encoder:
+// Discharge is a Houdini-style greatest fixpoint over a ladder of depths
+// k = 1, 2, 4, ..., K, on one solver over equiv's exported frame
+// encoder, reset before every check:
 //
-//   - BASE: frames 0..k-1 chained through the flip-flops, frame 0 pinned
-//     to the concrete reset state. Any candidate violated in a model is
-//     dropped (it does not even hold near reset — under the havoc-RAM
-//     over-approximation — so no induction can save it).
-//   - STEP: frames 0..k, free start. Every remaining candidate is
-//     assumed (selector-guarded) in frames 0..k-1; a round clause asserts
-//     some candidate is violated at frame k. Each SAT model drops the
-//     candidates it violates, and 64 simulated lanes extend the model
-//     forward under random inputs to drop more from the same solve (see
-//     extend); UNSAT means the surviving set is k-inductive.
+//   - BASE, shallow to deep: frames 0..k-1 chained through the
+//     flip-flops, frame 0 pinned to the concrete reset state. Any
+//     candidate violated in a model is dropped for good (it does not
+//     even hold near reset — under the havoc-RAM over-approximation —
+//     and deeper depths only add base frames).
+//   - STEP, deep to shallow: frames 0..k, free start. Every candidate of
+//     the depth's set is assumed (selector-guarded) in frames 0..k-1; a
+//     round clause asserts some candidate is violated at frame k. Each
+//     SAT model drops the candidates it violates, and 64 simulated lanes
+//     extend the model forward under random inputs to drop more from the
+//     same solve (see extend); UNSAT means the surviving set is
+//     k-inductive.
 //
-// Survivors of a level are PROVED: they hold in every reachable settled
-// state, they are hard-encoded at the next level, and their K records the
-// depth. Nothing that fails its induction step is ever returned — the
-// engine cannot produce an assumed hypothesis.
+// The deepest step runs over every candidate its base check kept; each
+// shallower one runs over the survivors of the depth above. A k-inductive
+// set is also inductive at every deeper depth, so the greatest
+// k-inductive subset of the base survivors lies inside the deeper
+// survivors and the descent loses nothing. Survivors are PROVED: they
+// hold in every reachable settled state, and each candidate's K records
+// the shallowest depth whose survivors hold it. Nothing that fails its
+// induction step is ever returned — the engine cannot produce an assumed
+// hypothesis.
 package induct
 
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"bespoke/internal/cut"
 	"bespoke/internal/equiv"
@@ -108,19 +114,27 @@ type Options struct {
 	// what forces the program-counter/instruction-register correlation
 	// that most cross-flip-flop candidates rest on). The ladder visits
 	// geometrically spaced depths (1, 2, 4, ..., K) rather than every
-	// integer: a candidate k-inductive at depth d is also inductive at
-	// every depth > d, so intermediate levels only buy a tighter K label
-	// at real solve cost.
+	// integer. Depth K decides which candidates are proved; the shallower
+	// depths only label each proved candidate with the shallowest depth
+	// that proves it, each re-running the step over the survivors of the
+	// depth above.
 	K int
-	// QueryBudget caps solver conflicts per individual solve; exhausting
-	// it abandons the current level (sound: fewer invariants proved).
-	// 0 means the default (500000).
+	// QueryBudget caps solver conflicts per individual solve; 0 means
+	// the default (500000). A solve that exhausts it abandons its check,
+	// which is sound (fewer invariants proved, or looser K labels): a
+	// base check abandoned at depth k abandons every depth from k on,
+	// so the next shallower depth becomes the top; a step abandoned at
+	// the top hands the top to the next shallower depth, over the same
+	// candidates; a step abandoned below the top leaves its candidates
+	// the label of the depth above and the next depth starts from the
+	// same set.
 	QueryBudget int64
 	// Trace, when non-nil, observes the Houdini ladder: it is called
 	// with "base-drop" (reset-reachable violation, permanent),
-	// "step-drop" (not inductive at this depth, retried deeper),
-	// "budget" (level abandoned) or "proved", the candidate's name, and
-	// the ladder depth. Diagnostics only — it must not block.
+	// "step-drop" (not inductive at this depth), "budget" (check
+	// abandoned) or "proved" (once per proved candidate, after the
+	// descent, with its label), the candidate's name, and the ladder
+	// depth. Diagnostics only — it must not block.
 	Trace func(event, name string, k int)
 }
 
@@ -157,7 +171,9 @@ func (o Options) queryBudget() int64 {
 
 // Result is the outcome of Prove.
 type Result struct {
-	// K is the deepest ladder level that ran.
+	// K is the shallowest ladder depth by which every candidate is
+	// either proved (its own K) or dropped by a base check; when some
+	// candidate is neither, the deepest depth whose base check ran.
 	K int
 	// Invariants are the proved non-claim invariants, each with its
 	// discharge depth in K. This is what equiv.Env.Invariants consumes.
@@ -176,8 +192,9 @@ type Result struct {
 	Queries int64
 	// Conflicts aggregates solver conflicts.
 	Conflicts int64
-	// BudgetExhausted reports that some level was abandoned on budget;
-	// the returned invariants are still all proved.
+	// BudgetExhausted reports that some check was abandoned on budget
+	// (see Options.QueryBudget); the returned invariants are still all
+	// proved.
 	BudgetExhausted bool
 }
 
@@ -185,13 +202,16 @@ type Result struct {
 type candidate struct {
 	inv   equiv.Invariant
 	claim int // index into the claim list, or -1 for an inferred invariant
+	// baseK is the depth whose base check dropped the candidate and
+	// label the shallowest depth whose step survivors hold it; 0 when
+	// that has not happened.
+	baseK, label int
 }
 
 type engine struct {
 	spec   *Spec
 	opts   Options
 	cands  []candidate
-	proved []int // candidate indexes proved so far (inv.K set)
 	res    *Result
 	lanes  *lanes      // extends step counterexamples (see extend)
 	solver *sat.Solver // reset for every base and step check
@@ -215,37 +235,69 @@ func Prove(ctx context.Context, spec *Spec, claims []cut.Claim, opts Options) (*
 	}
 	e.res.Candidates = len(e.cands)
 
-	active := make([]int, len(e.cands))
-	for i := range active {
-		active[i] = i
+	set := make([]int, len(e.cands))
+	for i := range set {
+		set[i] = i
 	}
-	for _, k := range opts.ladder() {
-		if len(active) == 0 {
+	// Base checks, shallow to deep, up to the first one abandoned on
+	// budget: the deepest completed one is the top of the descent.
+	ks := opts.ladder()
+	top, deepest := 0, 0
+	for _, k := range ks {
+		if len(set) == 0 {
 			break
 		}
-		e.res.K = k
-		survivors, rest, err := e.runLevel(ctx, k, active)
+		deepest = k
+		kept, ok, err := e.baseCheck(ctx, k, set)
 		if err != nil {
 			return nil, err
 		}
+		if !ok {
+			break
+		}
+		set = kept
+		top++
+	}
+	// Step fixpoints, deep to shallow, each over the survivors of the
+	// depth above; a step abandoned on budget leaves the set and its
+	// labels as they were.
+	for i := top - 1; i >= 0 && len(set) > 0; i-- {
+		survivors, ok, err := e.stepCheck(ctx, ks[i], set)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
 		for _, ci := range survivors {
-			e.cands[ci].inv.K = k
-			e.proved = append(e.proved, ci)
-			e.opts.trace("proved", e.cands[ci].inv.Name, k)
+			e.cands[ci].label = ks[i]
 		}
-		active = rest
+		set = survivors
 	}
-	e.res.Dropped = len(e.cands) - len(e.proved)
 
-	sort.Ints(e.proved)
-	for _, ci := range e.proved {
+	// Result.K: the depth by which every candidate is proved or
+	// base-dropped, else the deepest base check that ran.
+	proved := 0
+	for ci := range e.cands {
 		c := &e.cands[ci]
-		if c.claim >= 0 {
-			e.res.Core[claims[c.claim].Gate] = c.inv.K
-		} else {
-			e.res.Invariants = append(e.res.Invariants, c.inv)
+		switch {
+		case c.baseK > 0:
+			e.res.K = max(e.res.K, c.baseK)
+		case c.label == 0:
+			e.res.K = max(e.res.K, deepest)
+		default:
+			e.res.K = max(e.res.K, c.label)
+			proved++
+			c.inv.K = c.label
+			e.opts.trace("proved", c.inv.Name, c.label)
+			if c.claim >= 0 {
+				e.res.Core[claims[c.claim].Gate] = c.label
+			} else {
+				e.res.Invariants = append(e.res.Invariants, c.inv)
+			}
 		}
 	}
+	e.res.Dropped = len(e.cands) - proved
 	return e.res, nil
 }
 
@@ -302,25 +354,11 @@ func (e *engine) solve(ctx context.Context, s *sat.Solver, assume ...sat.Lit) (s
 	return st, err
 }
 
-// runLevel runs the base prune and the step fixpoint at depth k over the
-// active candidates. It returns the proved survivors and the candidates
-// to retry at the next depth.
-func (e *engine) runLevel(ctx context.Context, k int, active []int) (survivors, rest []int, err error) {
-	// A base-case failure is final: deeper ladders only ADD base frames,
-	// so a candidate baseCheck drops can never re-enter.
-	active, err = e.baseCheck(ctx, k, active)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(active) == 0 {
-		return nil, nil, nil
-	}
-	return e.stepCheck(ctx, k, active)
-}
-
-// baseCheck drops active candidates violated within the first k settled
-// frames from reset and returns the remaining ones.
-func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, error) {
+// baseCheck drops the active candidates violated within the first k
+// settled frames from reset, recording k as their baseK, and returns the
+// remaining ones. ok is false when a solve ran out of budget; the check
+// is then abandoned and kept is nil.
+func (e *engine) baseCheck(ctx context.Context, k int, active []int) (kept []int, ok bool, err error) {
 	s := e.solver
 	s.Reset()
 	frames := make([]*equiv.Frame, k)
@@ -328,17 +366,12 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, err
 	for t := 0; t < k; t++ {
 		f, ferr := e.addFrame(s, prev)
 		if ferr != nil {
-			return nil, ferr
+			return nil, false, ferr
 		}
 		frames[t] = f
 		prev = f
 	}
 	e.pinReset(frames[0])
-	for _, pi := range e.proved {
-		for t := 0; t < k; t++ {
-			e.cands[pi].inv.Encode(frames[t])
-		}
-	}
 
 	viol := make(map[int][]sat.Lit, len(active))
 	for _, ci := range active {
@@ -351,10 +384,7 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, err
 
 	act := append([]int(nil), active...)
 	var clause []sat.Lit
-	for {
-		if len(act) == 0 {
-			return nil, nil
-		}
+	for len(act) > 0 {
 		round := s.NewVar()
 		clause = append(clause[:0], sat.Neg(round))
 		for _, ci := range act {
@@ -363,19 +393,18 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, err
 		s.AddClause(clause...)
 		st, serr := e.solve(ctx, s, sat.Pos(round))
 		if serr != nil {
-			return nil, serr
+			return nil, false, serr
 		}
 		e.res.Rounds++
 		switch st {
 		case sat.Unsat:
-			return act, nil
+			return act, true, nil
 		case sat.Unknown:
-			// Budget exhausted: the whole level is abandoned unproved.
 			e.res.BudgetExhausted = true
 			for _, ci := range act {
 				e.opts.trace("budget", e.cands[ci].inv.Name, k)
 			}
-			return nil, nil
+			return nil, false, nil
 		}
 		// Drop every candidate the model violates in some base frame.
 		keep := act[:0]
@@ -386,6 +415,7 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, err
 				violated = !e.cands[ci].inv.Holds(func(g netlist.GateID) bool { return s.Value(f.Var(g)) })
 			}
 			if violated {
+				e.cands[ci].baseK = k
 				e.opts.trace("base-drop", e.cands[ci].inv.Name, k)
 			} else {
 				keep = append(keep, ci)
@@ -394,18 +424,20 @@ func (e *engine) baseCheck(ctx context.Context, k int, active []int) ([]int, err
 		if len(keep) == len(act) {
 			// Cannot happen (the round clause forces a genuine violation);
 			// guard against livelock anyway.
-			return nil, fmt.Errorf("induct: base model violates no candidate")
+			return nil, false, fmt.Errorf("induct: base model violates no candidate")
 		}
 		act = keep
 		s.AddClause(sat.Neg(round)) // retire the round clause
 	}
+	return act, true, nil
 }
 
 // stepCheck runs the Houdini fixpoint of the k-induction step: assume all
 // active candidates in frames 0..k-1, drop any candidate a model violates
-// at frame k, until UNSAT. Survivors are k-inductive relative to the
-// proved set.
-func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors, rest []int, err error) {
+// at frame k, until UNSAT. The survivors are the greatest k-inductive
+// subset of active. ok is false when a solve ran out of budget; the
+// check is then abandoned and survivors is nil.
+func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors []int, ok bool, err error) {
 	s := e.solver
 	s.Reset()
 	frames := make([]*equiv.Frame, k+1)
@@ -413,15 +445,10 @@ func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors,
 	for t := 0; t <= k; t++ {
 		f, ferr := e.addFrame(s, prev)
 		if ferr != nil {
-			return nil, nil, ferr
+			return nil, false, ferr
 		}
 		frames[t] = f
 		prev = f
-	}
-	for _, pi := range e.proved {
-		for t := 0; t <= k; t++ {
-			e.cands[pi].inv.Encode(frames[t])
-		}
 	}
 
 	sel := make(map[int]sat.Lit, len(active))
@@ -438,7 +465,7 @@ func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors,
 	act := append([]int(nil), active...)
 	clause := make([]sat.Lit, 0, len(act)+1)
 	assume := make([]sat.Lit, 0, len(act)+1)
-	for {
+	for len(act) > 0 {
 		round := s.NewVar()
 		clause = append(clause[:0], sat.Neg(round))
 		assume = assume[:0]
@@ -450,43 +477,36 @@ func (e *engine) stepCheck(ctx context.Context, k int, active []int) (survivors,
 		assume = append(assume, sat.Pos(round))
 		st, serr := e.solve(ctx, s, assume...)
 		if serr != nil {
-			return nil, nil, serr
+			return nil, false, serr
 		}
 		e.res.Rounds++
 		switch st {
 		case sat.Unsat:
-			return act, rest, nil
+			return act, true, nil
 		case sat.Unknown:
 			e.res.BudgetExhausted = true
 			for _, ci := range act {
 				e.opts.trace("budget", e.cands[ci].inv.Name, k)
 			}
-			return nil, append(rest, act...), nil
+			return nil, false, nil
 		}
 		fk := frames[k]
 		keep := act[:0]
-		ndrop := 0
 		for _, ci := range act {
 			if e.cands[ci].inv.Holds(func(g netlist.GateID) bool { return s.Value(fk.Var(g)) }) {
 				keep = append(keep, ci)
 			} else {
-				// Not k-inductive at this depth; a deeper ladder may
-				// still reach it.
-				rest = append(rest, ci)
 				e.opts.trace("step-drop", e.cands[ci].inv.Name, k)
 				s.AddClause(sel[ci].Not()) // deactivate its hypothesis
-				ndrop++
 			}
 		}
-		if ndrop == 0 {
-			return nil, nil, fmt.Errorf("induct: step model violates no candidate")
+		if len(keep) == len(act) {
+			return nil, false, fmt.Errorf("induct: step model violates no candidate")
 		}
-		act, rest = e.extend(s, fk, k, keep, rest, sel)
+		act = e.extend(s, fk, k, keep, sel)
 		s.AddClause(sat.Neg(round))
-		if len(act) == 0 {
-			return nil, rest, nil
-		}
 	}
+	return act, true, nil
 }
 
 // Limits of one counterexample extension (see extend).
@@ -500,42 +520,32 @@ const (
 // simulates them forward under random inputs, dropping every active
 // candidate violated in a lane's frame t. Each such window t-k..t is
 // itself a model of the step query: frames before the lane's first are
-// the model's own, which satisfy every candidate still active; every
-// violation an earlier lane frame showed was dropped when it showed; and
-// a lane stops at its first frame that breaks a proved invariant. The
+// the model's own, which satisfy every candidate still active, and every
+// violation an earlier lane frame showed was dropped when it showed. The
 // greatest k-inductive subset is unique, so these drops change how many
-// solves the fixpoint takes, never the survivors or the retry set. The
-// extension stops after extendIdle frames without a drop or extendFrames
-// frames. It returns the still-active candidates (act, filtered in
-// place) and rest with the new drops appended.
-func (e *engine) extend(s *sat.Solver, fk *equiv.Frame, k int, act, rest []int, sel map[int]sat.Lit) ([]int, []int) {
+// solves the fixpoint takes, never the survivors. The extension stops
+// after extendIdle frames without a drop or extendFrames frames. It
+// returns the still-active candidates (act, filtered in place).
+func (e *engine) extend(s *sat.Solver, fk *equiv.Frame, k int, act []int, sel map[int]sat.Lit) []int {
 	l := e.lanes
 	l.load(s, fk)
-	alive := ^uint64(0)
 	for t, idle := 0, 0; t < extendFrames && idle < extendIdle && len(act) > 0; t++ {
 		if t > 0 {
 			l.clock()
 		}
 		l.settle()
-		for _, pi := range e.proved {
-			alive &^= violated(&e.cands[pi].inv, l.val)
-		}
-		if alive == 0 {
-			break
-		}
 		keep := act[:0]
 		idle++
 		for _, ci := range act {
-			if violated(&e.cands[ci].inv, l.val)&alive == 0 {
+			if violated(&e.cands[ci].inv, l.val) == 0 {
 				keep = append(keep, ci)
 				continue
 			}
-			rest = append(rest, ci)
 			e.opts.trace("step-drop", e.cands[ci].inv.Name, k)
 			s.AddClause(sel[ci].Not())
 			idle = 0
 		}
 		act = keep
 	}
-	return act, rest
+	return act
 }

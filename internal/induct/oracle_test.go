@@ -238,6 +238,72 @@ func (d *oracleDesign) next(vals []bool) uint {
 	return s
 }
 
+// oracleFrame is one settled frame: a flip-flop state, the state the
+// clock edge loads from it, and whether each candidate holds in it.
+type oracleFrame struct {
+	state, next uint
+	holds       []bool // per candidate
+}
+
+// frames settles every frame of d (state × havoc bits).
+func (d *oracleDesign) frames(cands []candidate) []oracleFrame {
+	nS, nA := uint(1)<<uint(len(d.dffs)), uint(1)<<uint(len(d.free))
+	var frames []oracleFrame
+	for s := uint(0); s < nS; s++ {
+		for a := uint(0); a < nA; a++ {
+			vals := d.eval(s, a)
+			f := oracleFrame{state: s, next: d.next(vals)}
+			for ci := range cands {
+				f.holds = append(f.holds, cands[ci].inv.Holds(func(g netlist.GateID) bool { return vals[g] }))
+			}
+			frames = append(frames, f)
+		}
+	}
+	return frames
+}
+
+// successors returns the frames whose state some frame in from loads,
+// restricted to ok.
+func (d *oracleDesign) successors(frames []oracleFrame, from []bool, ok func(*oracleFrame) bool) []bool {
+	states := make([]bool, 1<<uint(len(d.dffs)))
+	for i := range frames {
+		if from[i] {
+			states[frames[i].next] = true
+		}
+	}
+	out := make([]bool, len(frames))
+	for i := range frames {
+		out[i] = states[frames[i].state] && ok(&frames[i])
+	}
+	return out
+}
+
+// checkReachable fails t unless every candidate in set holds in every
+// frame reachable from reset.
+func (d *oracleDesign) checkReachable(t *testing.T, frames []oracleFrame, cands []candidate, set []int, who string) {
+	t.Helper()
+	reach := make([]bool, len(frames))
+	for i := range frames {
+		reach[i] = d.isReset(frames[i].state)
+	}
+	for changed := true; changed; {
+		changed = false
+		next := d.successors(frames, reach, func(*oracleFrame) bool { return true })
+		for i := range reach {
+			if next[i] && !reach[i] {
+				reach[i], changed = true, true
+			}
+		}
+	}
+	for _, ci := range set {
+		for i := range frames {
+			if reach[i] && !frames[i].holds[ci] {
+				t.Fatalf("%s proved %s, violated in a reachable frame", who, cands[ci].inv.Name)
+			}
+		}
+	}
+}
+
 // oracleResult is the ladder's outcome computed by enumeration.
 type oracleResult struct {
 	k          int
@@ -246,51 +312,21 @@ type oracleResult struct {
 	dropped    int
 }
 
-// exactLadder runs Prove's ladder over cands by enumerating every frame
-// (state × havoc bits). Level k drops the candidates violated in a frame
-// of some reset run of k frames (every frame satisfying the proved set),
-// then keeps the greatest subset G such that every run of k+1 frames
-// satisfying the proved set throughout and G in its first k frames
-// satisfies G in its last.
+// exactLadder runs Prove's ladder over cands by enumerating every frame,
+// climbing it bottom-up. Level k drops the candidates violated in a
+// frame of some reset run of k frames (every frame satisfying the proved
+// set), then keeps the greatest subset G such that every run of k+1
+// frames satisfying the proved set throughout and G in its first k
+// frames satisfies G in its last.
 func exactLadder(t *testing.T, d *oracleDesign, cands []candidate) oracleResult {
-	nS, nA := uint(1)<<uint(len(d.dffs)), uint(1)<<uint(len(d.free))
-	type frame struct {
-		state, next uint
-		holds       []bool // per candidate
-	}
-	var frames []frame
-	for s := uint(0); s < nS; s++ {
-		for a := uint(0); a < nA; a++ {
-			vals := d.eval(s, a)
-			f := frame{state: s, next: d.next(vals)}
-			for ci := range cands {
-				f.holds = append(f.holds, cands[ci].inv.Holds(func(g netlist.GateID) bool { return vals[g] }))
-			}
-			frames = append(frames, f)
-		}
-	}
-	all := func(f *frame, set []int) bool {
+	frames := d.frames(cands)
+	all := func(f *oracleFrame, set []int) bool {
 		for _, ci := range set {
 			if !f.holds[ci] {
 				return false
 			}
 		}
 		return true
-	}
-	// successors returns the frames whose state some frame in from
-	// loads, restricted to ok.
-	successors := func(from []bool, ok func(*frame) bool) []bool {
-		states := make([]bool, nS)
-		for i := range frames {
-			if from[i] {
-				states[frames[i].next] = true
-			}
-		}
-		out := make([]bool, len(frames))
-		for i := range frames {
-			out[i] = states[frames[i].state] && ok(&frames[i])
-		}
-		return out
 	}
 
 	res := oracleResult{core: map[netlist.GateID]int{}}
@@ -300,7 +336,7 @@ func exactLadder(t *testing.T, d *oracleDesign, cands []candidate) oracleResult 
 	for i := range active {
 		active[i] = i
 	}
-	inP := func(f *frame) bool { return all(f, proved) }
+	inP := func(f *oracleFrame) bool { return all(f, proved) }
 	for _, k := range d.opts.ladder() {
 		if len(active) == 0 {
 			break
@@ -314,7 +350,7 @@ func exactLadder(t *testing.T, d *oracleDesign, cands []candidate) oracleResult 
 		var kept []int
 		reach := append([]bool(nil), cur...)
 		for step := 1; step < k; step++ {
-			cur = successors(cur, inP)
+			cur = d.successors(frames, cur, inP)
 			for i := range reach {
 				reach[i] = reach[i] || cur[i]
 			}
@@ -331,15 +367,15 @@ func exactLadder(t *testing.T, d *oracleDesign, cands []candidate) oracleResult 
 		// Step: greatest k-inductive subset of kept.
 		g := kept
 		for len(g) > 0 {
-			good := func(f *frame) bool { return inP(f) && all(f, g) }
+			good := func(f *oracleFrame) bool { return inP(f) && all(f, g) }
 			w := make([]bool, len(frames))
 			for i := range frames {
 				w[i] = good(&frames[i])
 			}
 			for step := 1; step < k; step++ {
-				w = successors(w, good)
+				w = d.successors(frames, w, good)
 			}
-			last := successors(w, inP)
+			last := d.successors(frames, w, inP)
 			var keep []int
 			for _, ci := range g {
 				ok := true
@@ -369,28 +405,7 @@ func exactLadder(t *testing.T, d *oracleDesign, cands []candidate) oracleResult 
 		}
 		active = retry
 	}
-
-	// Self-check: every proved candidate holds in every reachable frame.
-	reach := make([]bool, len(frames))
-	for i := range frames {
-		reach[i] = d.isReset(frames[i].state)
-	}
-	for changed := true; changed; {
-		changed = false
-		next := successors(reach, func(*frame) bool { return true })
-		for i := range reach {
-			if next[i] && !reach[i] {
-				reach[i], changed = true, true
-			}
-		}
-	}
-	for _, ci := range proved {
-		for i := range frames {
-			if reach[i] && !frames[i].holds[ci] {
-				t.Fatalf("oracle proved %s, violated in a reachable frame", cands[ci].inv.Name)
-			}
-		}
-	}
+	d.checkReachable(t, frames, cands, proved, "oracle")
 
 	res.dropped = len(cands) - len(proved)
 	for ci := range cands {
@@ -455,6 +470,92 @@ func TestProveMatchesExactFixpoint(t *testing.T) {
 	if proved == 0 || dropped == 0 {
 		t.Fatalf("over %d designs: %d proved, %d dropped", designs, proved, dropped)
 	}
+}
+
+// TestProveUnderBudgetIsSound: under conflict budgets of 1 to 4, small
+// enough that checks are abandoned, Prove may prove less or label
+// deeper, never more: every returned invariant and core member is one
+// the exact oracle proves, with a label no shallower than the oracle's,
+// and holds in every reachable frame; and two runs are identical.
+func TestProveUnderBudgetIsSound(t *testing.T) {
+	const designs = 300
+	var exhausted, returned, deeper int
+	for seed := int64(0); seed < designs; seed++ {
+		d := randomDesign(seed)
+		e := &engine{spec: d.spec, opts: d.opts, res: &Result{}}
+		if err := e.infer(d.claims); err != nil {
+			t.Fatalf("design %d: infer: %v", seed, err)
+		}
+		want := exactLadder(t, d, e.cands)
+		wantK := map[string]int{}
+		for _, iv := range want.invariants {
+			wantK[iv.Name] = iv.K
+		}
+
+		frames := d.frames(e.cands)
+		for budget := int64(1); budget <= 4; budget++ {
+			opts := d.opts
+			opts.QueryBudget = budget
+			got, err := Prove(context.Background(), d.spec, d.claims, opts)
+			if err != nil {
+				t.Fatalf("design %d: Prove: %v", seed, err)
+			}
+			again, err := Prove(context.Background(), d.spec, d.claims, opts)
+			if err != nil {
+				t.Fatalf("design %d: second Prove: %v", seed, err)
+			}
+			if !reflect.DeepEqual(got, again) {
+				t.Errorf("design %d, budget %d: two Prove runs differ:\n%+v\n%+v", seed, budget, got, again)
+			}
+			if got.BudgetExhausted {
+				exhausted++
+			}
+
+			var set []int // candidate indexes of everything returned
+			for ci, c := range e.cands {
+				k, ok := 0, false
+				wk, exact := 0, false
+				if c.claim >= 0 {
+					g := d.claims[c.claim].Gate
+					k, ok = got.Core[g]
+					wk, exact = want.core[g]
+				} else {
+					for _, iv := range got.Invariants {
+						if iv.Name == c.inv.Name {
+							k, ok = iv.K, true
+							iv.K = c.inv.K
+							if !reflect.DeepEqual(iv, c.inv) {
+								t.Errorf("design %d: returned %s is not its candidate", seed, iv.Name)
+							}
+						}
+					}
+					wk, exact = wantK[c.inv.Name]
+				}
+				if !ok {
+					continue
+				}
+				switch {
+				case !exact:
+					t.Errorf("design %d: %s proved at K=%d, the exact ladder does not prove it", seed, c.inv.Name, k)
+				case k < wk:
+					t.Errorf("design %d: %s proved at K=%d, exact K=%d", seed, c.inv.Name, k, wk)
+				case k > wk:
+					deeper++
+				}
+				set = append(set, ci)
+			}
+			if len(set) != len(got.Invariants)+len(got.Core) {
+				t.Fatalf("design %d: %d of %d returned invariants are candidates", seed, len(set), len(got.Invariants)+len(got.Core))
+			}
+			returned += len(set)
+			d.checkReachable(t, frames, e.cands, set, "Prove")
+		}
+	}
+	// Guard against budgets too loose to exhaust or too tight to prove.
+	if exhausted == 0 || returned == 0 {
+		t.Fatalf("over %d designs: %d runs exhausted a budget, %d invariants returned", designs, exhausted, returned)
+	}
+	t.Logf("%d of %d runs exhausted a budget; %d invariants returned, %d labelled deeper than exact", exhausted, 4*designs, returned, deeper)
 }
 
 // TestLanesMatchFrameSemantics: from random per-lane states, every lane

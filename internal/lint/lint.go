@@ -103,7 +103,10 @@ type Report struct {
 	Findings []Finding
 	// Ran lists the analyzers that executed, in registry order.
 	Ran []string
-	// NumGates is the size of the linted netlist.
+	// NumGates is the number of cells in the linted netlist
+	// (netlist.CellCount: every gate but the input ports and constants,
+	// so a bespoke core's constant-tied slots do not count). bespoke-lint
+	// prints it in its header and reports it as JSON num_gates.
 	NumGates int
 }
 
@@ -236,7 +239,7 @@ func Run(ctx context.Context, n *netlist.Netlist, cfg Config) (*Report, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	rep := &Report{NumGates: len(n.Gates)}
+	rep := &Report{NumGates: n.CellCount()}
 	for i, a := range selected {
 		rep.Ran = append(rep.Ran, a.name)
 		rep.Findings = append(rep.Findings, results[i]...)

@@ -57,6 +57,21 @@ func TestCleanNetlist(t *testing.T) {
 	}
 }
 
+// TestNumGatesCountsCells: the report counts cells, not the input
+// ports and constants a bespoke core ties its removed gates to.
+func TestNumGatesCountsCells(t *testing.T) {
+	n := netlist.New()
+	a := n.Add(netlist.Gate{Kind: netlist.Input, Name: "a"})
+	zero := n.Add(netlist.Gate{Kind: netlist.Const0})
+	one := n.Add(netlist.Gate{Kind: netlist.Const1})
+	g := n.Add(netlist.Gate{Kind: netlist.Mux, In: [3]netlist.GateID{zero, one, a}})
+	q := n.Add(netlist.Gate{Kind: netlist.Dff, In: [3]netlist.GateID{g}})
+	n.MarkOutput("q", q)
+	if rep := runAll(t, n, Config{}); rep.NumGates != 2 {
+		t.Fatalf("NumGates = %d, want 2 (the mux and the flip-flop)", rep.NumGates)
+	}
+}
+
 func TestCombLoopCaught(t *testing.T) {
 	n := netlist.New()
 	a := n.Add(netlist.Gate{Kind: netlist.Input, Name: "a"})
