@@ -10,8 +10,8 @@
 //	fmt.Println(res.GateSavings, res.PowerSavings)
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); the commands under cmd/ and the programs under examples/
-// are thin clients of the same surface.
+// inventory). The commands under cmd/ and the programs under examples/
+// bypass this file: they import internal/core, which it wraps, directly.
 package bespoke
 
 import (

@@ -1,25 +1,3 @@
-// Command bespoke-faults runs the gate-level fault-injection campaigns:
-// cut validation (every removed gate stuck at its claimed constant must
-// be invisible; the opposite constant must be detectable), the SEU
-// vulnerability comparison between the baseline and the bespoke design,
-// and the combinational SET resilience signoff (seeded transient pulses
-// on gate outputs, classified masked / latched-silent / visible and
-// aggregated into per-module vulnerability maps).
-//
-// Usage:
-//
-//	bespoke-faults [-bench all|quick|name,...] [-faults N] [-seu N] [-set N]
-//	               [-set-budget F] [-map] [-markdown]
-//	               [-workers N] [-seed S] [-timeout D]
-//
-// Campaigns run on the bit-parallel engine (63 faulty worlds plus a
-// golden guard lane per simulator pass); the summary and the -markdown
-// tables report campaign throughput (injections/sec).
-//
-// The command exits nonzero if any claimed-constant injection diverges
-// (the activity analysis would be wrong) or if -set-budget is exceeded
-// by the bespoke design's architecturally visible SET fraction (the
-// resilience signoff rejects the tailored core).
 package main
 
 import (
@@ -27,8 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"strings"
+	"io"
 	"time"
 
 	"bespoke/internal/bench"
@@ -37,73 +14,42 @@ import (
 	"bespoke/internal/report"
 )
 
-func main() {
-	benches := flag.String("bench", "quick", "benchmarks: all, quick, or a comma-separated list")
-	faults := flag.Int("faults", 96, "stuck-at injections sampled per campaign (0 = every cut site)")
-	seus := flag.Int("seu", 48, "random SEU injections per design")
-	sets := flag.Int("set", 48, "random SET injections per design (0 disables the resilience stage)")
-	setBudget := flag.Float64("set-budget", 0, "tolerated visible SET fraction on the bespoke design (0 = report only, negative = zero tolerance)")
-	showMap := flag.Bool("map", false, "print the per-module SET vulnerability maps")
-	markdown := flag.Bool("markdown", false, "render tables as markdown (for the experiment docs)")
-	workers := flag.Int("workers", 0, "worker pool width (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 1, "campaign sampling seed")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for all campaigns (0 = unlimited)")
-	flag.Parse()
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	list, err := pick(*benches)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bespoke-faults:", err)
-		os.Exit(2)
-	}
-	cfg := campaignConfig{
-		opts:      faultinject.Options{Workers: *workers, MaxFaults: *faults, Seed: *seed},
-		seus:      *seus,
-		sets:      *sets,
-		setBudget: *setBudget,
-		showMap:   *showMap,
-		markdown:  *markdown,
-	}
-	if err := run(ctx, list, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "bespoke-faults:", err)
-		os.Exit(1)
+// faultsCmd runs the gate-level fault-injection campaigns on each
+// target: cut validation (every removed gate stuck at its claimed
+// constant must be invisible; the opposite constant must be detectable),
+// the SEU vulnerability comparison between the baseline and the bespoke
+// design, and the combinational SET resilience signoff (seeded transient
+// pulses on gate outputs, classified masked / latched-silent / visible
+// and aggregated into per-module vulnerability maps). Campaigns run on
+// the bit-parallel engine (63 faulty worlds plus a golden guard lane per
+// simulator pass), and the tables report their throughput.
+//
+// A claimed-constant injection that diverges (the activity analysis
+// would be wrong) rejects the design, as does a bespoke design whose
+// architecturally visible SET fraction exceeds -set-budget.
+func faultsCmd(fs *flag.FlagSet) runFunc {
+	var cfg campaignConfig
+	fs.IntVar(&cfg.opts.MaxFaults, "faults", 96, "stuck-at injections sampled per campaign (0 = every cut site)")
+	fs.IntVar(&cfg.seus, "seu", 48, "random SEU injections per design")
+	fs.IntVar(&cfg.sets, "set", 48, "random SET injections per design (0 disables the resilience stage)")
+	fs.Float64Var(&cfg.setBudget, "set-budget", 0, "tolerated visible SET fraction on the bespoke design (0 = report only, negative = zero tolerance)")
+	fs.BoolVar(&cfg.showMap, "map", false, "print the per-module SET vulnerability maps")
+	fs.BoolVar(&cfg.markdown, "markdown", false, "render tables as markdown (for the experiment docs)")
+	fs.IntVar(&cfg.opts.Workers, "workers", 0, "worker pool width (0 = GOMAXPROCS)")
+	fs.Uint64Var(&cfg.opts.Seed, "seed", 1, "campaign sampling seed")
+	return func(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+		if len(args) == 0 {
+			args = []string{"quick"}
+		}
+		targets, err := load(args)
+		if err != nil {
+			return err
+		}
+		return runCampaigns(ctx, targets, cfg, stdout, stderr)
 	}
 }
 
-// quick is the subset used by CI and local smoke runs.
-var quick = []string{"binSearch", "intAVG", "intFilt", "mult", "dbg"}
-
-func pick(spec string) ([]*bench.Benchmark, error) {
-	var names []string
-	switch spec {
-	case "all":
-		var list []*bench.Benchmark
-		for _, b := range bench.All() {
-			list = append(list, b)
-		}
-		return list, nil
-	case "quick":
-		names = quick
-	default:
-		names = strings.Split(spec, ",")
-	}
-	var list []*bench.Benchmark
-	for _, n := range names {
-		b := bench.ByName(strings.TrimSpace(n))
-		if b == nil {
-			return nil, fmt.Errorf("unknown benchmark %q", n)
-		}
-		list = append(list, b)
-	}
-	return list, nil
-}
-
-// campaignConfig bundles the campaign knobs.
+// campaignConfig holds the campaign flags.
 type campaignConfig struct {
 	opts      faultinject.Options
 	seus      int
@@ -113,7 +59,7 @@ type campaignConfig struct {
 	markdown  bool
 }
 
-func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error {
+func runCampaigns(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig, stdout, stderr io.Writer) error {
 	cutT := report.NewTable("Cut validation (stuck-at campaigns)",
 		"Bench", "Cut sites", "Injected", "Claimed diverged", "Opposite diverged")
 	seuT := report.NewTable("SEU vulnerability (baseline vs bespoke)",
@@ -129,12 +75,9 @@ func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error
 	bad := 0
 	var violations []string
 	for _, b := range list {
-		prog, err := b.Prog()
-		if err != nil {
-			return err
-		}
+		prog := b.MustProg()
 		w := b.Workload(1)
-		fmt.Printf("tailoring %s...\n", b.Name)
+		fmt.Fprintf(stdout, "tailoring %s...\n", b.Name)
 		tailorOpts := core.Options{}
 		if cfg.sets > 0 {
 			tailorOpts.Resilience = &core.ResilienceOptions{
@@ -184,7 +127,7 @@ func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error
 		if claimed.Divergent() > 0 {
 			bad++
 			for _, d := range claimed.Diverged {
-				fmt.Fprintf(os.Stderr, "%s: MISMATCH %s: %s (%s)\n", b.Name, d.Fault, d.Outcome, d.Detail)
+				fmt.Fprintf(stderr, "%s: MISMATCH %s: %s (%s)\n", b.Name, d.Fault, d.Outcome, d.Detail)
 			}
 		}
 
@@ -220,9 +163,9 @@ func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error
 	}
 	render := func(t *report.Table) {
 		if cfg.markdown {
-			t.WriteMarkdown(os.Stdout)
+			t.WriteMarkdown(stdout)
 		} else {
-			t.Write(os.Stdout)
+			t.Write(stdout)
 		}
 	}
 	render(cutT)
@@ -234,18 +177,18 @@ func run(ctx context.Context, list []*bench.Benchmark, cfg campaignConfig) error
 		render(modT)
 	}
 	render(thrT)
-	fmt.Printf("\n%d injections across %d simulator passes in %.2fs — %s injections/sec\n",
+	fmt.Fprintf(stdout, "\n%d injections across %d simulator passes in %.2fs — %s injections/sec\n",
 		total.injections, total.batches, total.elapsed.Seconds(), total.rate())
 	if bad > 0 {
-		return fmt.Errorf("%d benchmark(s) had claimed-constant divergence: the analysis is unsound", bad)
+		return &exitStatus{code: 1, msg: fmt.Sprintf("%d benchmark(s) had claimed-constant divergence: the analysis is unsound", bad)}
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, v)
+			fmt.Fprintln(stderr, v)
 		}
-		return fmt.Errorf("%d benchmark(s) failed the SET resilience signoff", len(violations))
+		return &exitStatus{code: 1, msg: fmt.Sprintf("%d benchmark(s) failed the SET resilience signoff", len(violations))}
 	}
-	fmt.Println("\nAll claimed-constant injections were invisible: the cut set is validated.")
+	fmt.Fprintln(stdout, "\nAll claimed-constant injections were invisible: the cut set is validated.")
 	return nil
 }
 

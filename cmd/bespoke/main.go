@@ -1,13 +1,34 @@
-// Command bespoke tailors the general purpose gate-level microcontroller
-// to one or more application binaries and reports the savings - the
-// paper's toolflow as a command-line tool.
+// Command bespoke is the tailoring flow's front door. It tailors the
+// general purpose gate-level microcontroller to application binaries and
+// reports the savings, runs the flow's formal gate, lints netlists, and
+// runs the gate-level fault-injection campaigns.
 //
 // Usage:
 //
-//	bespoke [-coarse] prog.s [more.s ...]
+//	bespoke tailor [-coarse] [-verilog out.v] [-def out.def] [-path] target...
+//	bespoke tailor -check update.s target...
+//	bespoke prove [-induct] [-k N] [-invariants] [-max-assumed N] [-json] target...
+//	bespoke lint [-analyzer a,b] [-json] [-list] [target...]
+//	bespoke lint -netlist out.v
+//	bespoke faults [-faults N] [-seu N] [-set N] [-set-budget F] [-map] [target...]
 //
-// Each argument is an MSP430 assembly file (see internal/asm for the
-// dialect). With several programs, the design supports all of them.
+// Every subcommand also takes -timeout, a wall-clock budget for the run;
+// "bespoke SUBCOMMAND -h" lists its flags. A target is a Table 1
+// benchmark name (internal/bench), "all" for the whole suite, "quick"
+// for its five-benchmark smoke subset, or an MSP430 assembly file ending
+// in .s (see internal/asm for the dialect). A benchmark runs under its
+// catalog's first input set, a file under bench.RandomWorkload(1): random
+// RAM, port and interrupt inputs, so a program that reads inputs signs
+// off too. tailor and lint build one design that supports every target,
+// prove and faults report one row per target. lint with no target lints
+// the elaborated base core; faults with none runs "quick".
+//
+// The exit status is 0 when the run passes; 1 when a check rejects the
+// design (a lint finding, a refuted claim or failed miter, more assumed
+// claims than -max-assumed, a claimed-constant divergence, or a visible
+// SET fraction over -set-budget); 2 on a usage, assembly, flow or timeout
+// error; 3 when tailor -check finds that the update needs gates the
+// bespoke design removed.
 package main
 
 import (
@@ -15,29 +36,74 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"strings"
 
 	"bespoke/internal/asm"
-	"bespoke/internal/cells"
+	"bespoke/internal/bench"
 	"bespoke/internal/core"
-	"bespoke/internal/layout"
 	"bespoke/internal/netlist"
-	"bespoke/internal/report"
 	"bespoke/internal/symexec"
 )
 
 func main() {
-	coarse := flag.Bool("coarse", false, "module-level (Xtensa-like) removal instead of gate-level")
-	verilog := flag.String("verilog", "", "write the bespoke netlist as structural Verilog to this file")
-	def := flag.String("def", "", "write the bespoke placement as DEF to this file")
-	path := flag.Bool("path", false, "print the bespoke design's critical path")
-	check := flag.String("check", "", "check whether this update binary runs on the bespoke design for the given programs (Section 3.5)")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole flow (0 = unlimited)")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: bespoke [-coarse] [-verilog out.v] [-path] [-check update.s] [-timeout 30s] prog.s [more.s ...]")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// runFunc runs a subcommand on its positional arguments.
+type runFunc func(ctx context.Context, args []string, stdout, stderr io.Writer) error
+
+// subcommands maps each subcommand to its setup, which registers its
+// flags and returns the function that runs it once they are parsed.
+var subcommands = map[string]func(fs *flag.FlagSet) runFunc{
+	"tailor": tailorCmd,
+	"prove":  proveCmd,
+	"lint":   lintCmd,
+	"faults": faultsCmd,
+}
+
+const usage = `usage: bespoke <tailor|prove|lint|faults> [flags] [target...]
+A target is a benchmark name, "all", "quick" or an assembly file ending in .s;
+"bespoke <subcommand> -h" lists the subcommand's flags.
+`
+
+// exitStatus ends a run with a nonzero status that is a verdict, not a
+// failure: a check rejected the design (1), a target of a sweep failed
+// and its row says why (2), or tailor -check found the update
+// unsupported (3). A non-empty msg goes to stderr.
+type exitStatus struct {
+	code int
+	msg  string
+}
+
+func (e *exitStatus) Error() string { return e.msg }
+
+// run executes one command line and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	setup, ok := subcommands[args[0]]
+	if !ok {
+		fmt.Fprintf(stderr, "bespoke: unknown subcommand %q\n%s", args[0], usage)
+		return 2
+	}
+	name := "bespoke " + args[0]
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprint(stderr, usage)
+		fs.PrintDefaults()
+	}
+	timeout := fs.Duration("timeout", 0, "wall-clock budget (0 = unlimited)")
+	exec := setup(fs)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -45,199 +111,104 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *check != "" {
-		if err := runCheck(ctx, *check, flag.Args()); err != nil {
-			fatal(err)
+	err := exec(ctx, fs.Args(), stdout, stderr)
+	var st *exitStatus
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &st):
+		if st.msg != "" {
+			fmt.Fprintf(stderr, "%s: %s\n", name, st.msg)
 		}
+		return st.code
+	}
+	printError(stderr, name, err)
+	return 2
+}
+
+// printError prints a stage-aware diagnostic for a flow error: which
+// pipeline stage failed, the offending gate when known, and the analysis
+// watchdog's partial-progress numbers, instead of one opaque line.
+func printError(w io.Writer, name string, err error) {
+	var fe *core.FlowError
+	if !errors.As(err, &fe) {
+		fmt.Fprintf(w, "%s: %v\n", name, err)
 		return
 	}
-	if err := run(ctx, flag.Args(), *coarse, *verilog, *def, *path); err != nil {
-		fatal(err)
+	// Keep what a caller wrapped around the flow error, such as the
+	// target it came from.
+	where := strings.TrimSuffix(err.Error(), fe.Error())
+	fmt.Fprintf(w, "%s: %sthe %s stage failed\n", name, where, fe.Stage)
+	if fe.Gate != netlist.None {
+		fmt.Fprintf(w, "%s:   at gate %d\n", name, fe.Gate)
 	}
-}
-
-// fatal prints a stage-aware diagnostic for flow errors — which pipeline
-// stage failed, the offending gate when known, and the watchdog's
-// partial-progress numbers — instead of one opaque line, then exits.
-func fatal(err error) {
-	var fe *core.FlowError
-	if errors.As(err, &fe) {
-		fmt.Fprintf(os.Stderr, "bespoke: the %s stage failed\n", fe.Stage)
-		if fe.Gate != netlist.None {
-			fmt.Fprintf(os.Stderr, "bespoke:   at gate %d\n", fe.Gate)
-		}
-		var le *symexec.LimitError
-		switch {
-		case errors.As(err, &le):
-			fmt.Fprintf(os.Stderr, "bespoke:   analysis watchdog: %s\n", le.Reason)
-			fmt.Fprintf(os.Stderr, "bespoke:   progress: %d cycles, %d paths, %d branch sites, %d merges, %d worlds pending\n",
-				le.Cycles, le.Paths, le.Sites, le.Merges, le.Pending)
-			if le.MaxCycles > 0 {
-				fmt.Fprintf(os.Stderr, "bespoke:   consider raising the cycle budget (had %d)\n", le.MaxCycles)
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintln(os.Stderr, "bespoke:   the -timeout budget expired; raise it or simplify the program")
-			}
-		case errors.Is(err, context.DeadlineExceeded):
-			fmt.Fprintln(os.Stderr, "bespoke:   the -timeout budget expired; raise it or simplify the program")
-		default:
-			fmt.Fprintf(os.Stderr, "bespoke:   %v\n", fe.Err)
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "bespoke:", err)
-	}
-	os.Exit(1)
-}
-
-// runCheck decides in-field update support: the update is supported when
-// every gate it can exercise is kept in the bespoke design for the base
-// programs (the paper's Section 3.5 subset test).
-func runCheck(ctx context.Context, updateFile string, baseFiles []string) error {
-	load := func(f string) (*asm.Program, error) {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			return nil, err
-		}
-		p, err := asm.Assemble(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f, err)
-		}
-		return p, nil
-	}
-	var progs []*asm.Program
-	for _, f := range baseFiles {
-		p, err := load(f)
-		if err != nil {
-			return err
-		}
-		progs = append(progs, p)
-	}
-	update, err := load(updateFile)
-	if err != nil {
-		return err
-	}
-
-	missing, c, err := core.UpdateMissing(ctx, progs, update, symexec.Options{})
-	if err != nil {
-		return err
-	}
-	if len(missing) == 0 {
-		fmt.Printf("SUPPORTED: %s uses only gates kept in the bespoke design for %v\n", updateFile, baseFiles)
-		return nil
-	}
-	missingByModule := map[string]int{}
-	for _, g := range missing {
-		missingByModule[c.N.ModuleOf(g)]++
-	}
-	fmt.Printf("NOT SUPPORTED: %s needs %d gates the bespoke design removed:\n", updateFile, len(missing))
-	mods := make([]string, 0, len(missingByModule))
-	for m := range missingByModule {
-		mods = append(mods, m)
-	}
-	sort.Strings(mods)
-	for _, m := range mods {
-		fmt.Printf("  %-30s %d gates\n", m, missingByModule[m])
-	}
-	os.Exit(3)
-	return nil
-}
-
-func run(ctx context.Context, files []string, coarse bool, verilogOut, defOut string, showPath bool) error {
-	var progs []*asm.Program
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			return err
-		}
-		p, err := asm.Assemble(string(src))
-		if err != nil {
-			return fmt.Errorf("%s: %w", f, err)
-		}
-		progs = append(progs, p)
-	}
-
-	var res *core.Result
-	var err error
+	timedOut := errors.Is(err, context.DeadlineExceeded)
+	var le *symexec.LimitError
 	switch {
-	case coarse:
-		res, err = core.TailorCoarse(ctx, progs[0], nil, core.Options{})
-	case len(progs) == 1:
-		res, err = core.Tailor(ctx, progs[0], nil, core.Options{})
-	default:
-		res, err = core.TailorMulti(ctx, progs, nil, core.Options{})
+	case errors.As(err, &le):
+		fmt.Fprintf(w, "%s:   analysis watchdog: %s\n", name, le.Reason)
+		fmt.Fprintf(w, "%s:   progress: %d cycles, %d paths, %d branch sites, %d merges, %d worlds pending\n",
+			name, le.Cycles, le.Paths, le.Sites, le.Merges, le.Pending)
+		if le.MaxCycles > 0 {
+			fmt.Fprintf(w, "%s:   consider raising the cycle budget (had %d)\n", name, le.MaxCycles)
+		}
+	case !timedOut:
+		fmt.Fprintf(w, "%s:   %v\n", name, fe.Err)
 	}
+	if timedOut {
+		fmt.Fprintf(w, "%s:   the -timeout budget expired; raise it or simplify the program\n", name)
+	}
+}
+
+// load resolves target arguments into benchmarks: a catalog name, "all",
+// "quick", or an assembly file ending in .s. Every returned benchmark's
+// program has assembled.
+func load(args []string) ([]*bench.Benchmark, error) {
+	var targets []*bench.Benchmark
+	for _, arg := range args {
+		switch {
+		case arg == "all":
+			targets = append(targets, bench.All()...)
+		case arg == "quick":
+			targets = append(targets, bench.Quick()...)
+		case strings.HasSuffix(arg, ".s"):
+			b, err := loadFile(arg)
+			if err != nil {
+				return nil, err
+			}
+			targets = append(targets, b)
+		default:
+			b := bench.ByName(arg)
+			if b == nil {
+				return nil, fmt.Errorf("unknown benchmark %q (see internal/bench; a file must end in .s)", arg)
+			}
+			targets = append(targets, b)
+		}
+	}
+	return targets, nil
+}
+
+// loadFile assembles a source file into a benchmark named after its
+// path, whose inputs come from bench.RandomWorkload.
+func loadFile(path string) (*bench.Benchmark, error) {
+	src, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	b := &bench.Benchmark{Name: path, Source: string(src), GenWorkload: bench.RandomWorkload}
+	if _, err := b.Prog(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return b, nil
+}
 
-	t := report.NewTable("Bespoke tailoring report", "Metric", "Baseline", "Bespoke", "Savings")
-	t.AddRow("Gates", fmt.Sprint(res.Baseline.Gates), fmt.Sprint(res.Bespoke.Gates), report.Pct(res.GateSavings))
-	t.AddRow("Flip-flops", fmt.Sprint(res.Baseline.Dffs), fmt.Sprint(res.Bespoke.Dffs), "")
-	t.AddRow("Area (um^2)", fmt.Sprintf("%.0f", res.Baseline.Power.AreaUm2),
-		fmt.Sprintf("%.0f", res.Bespoke.Power.AreaUm2), report.Pct(res.AreaSavings))
-	t.AddRow("Power (uW)", fmt.Sprintf("%.1f", res.Baseline.Power.TotalUW),
-		fmt.Sprintf("%.1f", res.Bespoke.Power.TotalUW), report.Pct(res.PowerSavings))
-	t.AddRow("Power at Vmin (uW)", "-", fmt.Sprintf("%.1f", res.BespokeAtVmin.TotalUW), report.Pct(res.PowerSavingsVmin))
-	t.AddRow("Critical path (ps)", fmt.Sprintf("%.0f", res.Baseline.Timing.CriticalPs),
-		fmt.Sprintf("%.0f", res.Bespoke.Timing.CriticalPs), "")
-	t.AddRow("Exposed slack", "-", report.Pct(res.Bespoke.Timing.SlackFrac), "")
-	t.AddRow("Vmin (V)", fmt.Sprintf("%.2f", res.Baseline.Timing.Vmin), fmt.Sprintf("%.2f", res.Bespoke.Timing.Vmin), "")
-	t.Write(os.Stdout)
-
-	fmt.Printf("\nAnalysis: %d paths, %d merges, %d cycles; cut %d gates, %d kept\n",
-		res.Analysis.Paths, res.Analysis.Merges, res.Analysis.Cycles, res.CutStats.Cut, res.CutStats.Kept)
-
-	// Per-module accounting (modules removed entirely still get a row).
-	byMod := res.BespokeCore.N.GatesByModule()
-	baseMod := res.BaselineCore.N.GatesByModule()
-	names := make([]string, 0, len(baseMod))
-	for n := range baseMod {
-		names = append(names, n)
+// tailorAll builds one bespoke design that supports every target, each
+// run under its first input set.
+func tailorAll(ctx context.Context, targets []*bench.Benchmark, opts core.Options) (*core.Result, error) {
+	progs := make([]*asm.Program, len(targets))
+	ws := make([]*core.Workload, len(targets))
+	for i, b := range targets {
+		progs[i], ws[i] = b.MustProg(), b.Workload(1)
 	}
-	sort.Strings(names)
-	mt := report.NewTable("Gates by module", "Module", "Baseline", "Bespoke", "Removed")
-	for _, n := range names {
-		base := len(baseMod[n])
-		kept := len(byMod[n])
-		frac := "-"
-		if base > 0 {
-			frac = report.Pct(1 - float64(kept)/float64(base))
-		}
-		mt.AddRow(n, fmt.Sprint(base), fmt.Sprint(kept), frac)
-	}
-	mt.Write(os.Stdout)
-
-	if showPath {
-		pt := report.NewTable("Bespoke critical path", "Arrival (ps)", "Cell", "Module")
-		steps := res.Bespoke.Timing.CriticalPath(res.BespokeCore.N)
-		for _, st := range steps {
-			pt.AddRow(fmt.Sprintf("%.0f", st.ArrivalPs), st.Kind.String(), st.Module)
-		}
-		pt.Write(os.Stdout)
-	}
-
-	if defOut != "" {
-		f, err := os.Create(defOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		place := layout.Place(res.BespokeCore.N, cells.TSMC65())
-		if err := place.WriteDEF(f, res.BespokeCore.N, "bespoke_core"); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote placement DEF to %s\n", defOut)
-	}
-	if verilogOut != "" {
-		f, err := os.Create(verilogOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.BespokeCore.N.WriteVerilog(f, "bespoke_core"); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote structural Verilog to %s\n", verilogOut)
-	}
-	return nil
+	return core.TailorMulti(ctx, progs, ws, opts)
 }

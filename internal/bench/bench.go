@@ -21,6 +21,7 @@ import (
 	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/isasim"
+	"bespoke/internal/msp430"
 )
 
 // InBuf is the base byte address of the input buffer in RAM.
@@ -101,6 +102,31 @@ func ramWords(seed uint64, n int, transform func(i int, v uint16) uint16) *core.
 	return &core.Workload{RAM: ram}
 }
 
+// RandomWorkload is the seed-th input set for a program outside the
+// catalog, whose inputs are unknown: every word of the data RAM random,
+// a new random P1 value every 97 cycles, and every 1,000 cycles from
+// cycle 100 one randomly picked IRQ line held high for 40 cycles, both
+// schedules through cycle 200,000. It sets no cycle bound, so runs stop
+// at core.DefaultMaxCycles.
+func RandomWorkload(seed uint64) *core.Workload {
+	const until = 200_000
+	r := rng(seed)
+	w := &core.Workload{RAM: make(map[uint16]uint16, msp430.RAMSize/2)}
+	for a := msp430.RAMStart; a < msp430.RAMEnd; a += 2 {
+		w.RAM[a] = r.uint16()
+	}
+	for at := uint64(0); at <= until; at += 97 {
+		w.P1 = append(w.P1, core.P1Step{At: at, Value: r.uint16()})
+	}
+	for at := uint64(100); at <= until; at += 1000 {
+		line := int(r.next() % 3)
+		w.IRQ = append(w.IRQ,
+			core.IRQStep{At: at, Line: line, Level: true},
+			core.IRQStep{At: at + 40, Line: line, Level: false})
+	}
+	return w
+}
+
 // prologue/epilogue shared by all kernels: hold the watchdog, set up the
 // stack, and terminate with the self-jump convention.
 const prologue = `
@@ -123,6 +149,11 @@ func All() []*Benchmark {
 		BinSearch(), Div(), InSort(), IntAVG(), IntFilt(), Mult(), RLE(),
 		THold(), Tea8(), FFT(), Viterbi(), ConvEn(), Autocorr(), IRQ(), Dbg(),
 	}
+}
+
+// Quick returns the five-benchmark subset that smoke runs use.
+func Quick() []*Benchmark {
+	return []*Benchmark{BinSearch(), IntAVG(), IntFilt(), Mult(), Dbg()}
 }
 
 // ByName returns the named benchmark or nil.

@@ -22,14 +22,10 @@ import (
 // Suite returns the benchmark list used by the experiments. quick trims
 // it for smoke tests.
 func Suite(quick bool) []*bench.Benchmark {
-	all := bench.All()
 	if quick {
-		return []*bench.Benchmark{
-			bench.ByName("binSearch"), bench.ByName("intAVG"),
-			bench.ByName("intFilt"), bench.ByName("mult"), bench.ByName("dbg"),
-		}
+		return bench.Quick()
 	}
-	return all
+	return bench.All()
 }
 
 // Table1 prints the benchmark suite with measured maximum execution

@@ -87,7 +87,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(p, dec) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", p, dec)
 	}
-	// Through JSON, the form bespoke-prove -json reports the records in.
+	// Through JSON, the form bespoke prove -json reports the records in.
 	js, err := json.Marshal(p.Invariants)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

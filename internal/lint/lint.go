@@ -105,7 +105,7 @@ type Report struct {
 	Ran []string
 	// NumGates is the number of cells in the linted netlist
 	// (netlist.CellCount: every gate but the input ports and constants,
-	// so a bespoke core's constant-tied slots do not count). bespoke-lint
+	// so a bespoke core's constant-tied slots do not count). bespoke lint
 	// prints it in its header and reports it as JSON num_gates.
 	NumGates int
 }
@@ -142,7 +142,7 @@ type analyzer struct {
 
 // registry holds the analyzers in canonical report order. Names are the
 // stable selection handles used by Config.Analyzers and the -analyzer
-// flag of cmd/bespoke-lint.
+// flag of bespoke lint.
 var registry = []analyzer{
 	{"comb-loop", lintCombLoops},
 	{"multi-driven", lintMultiDriven},
