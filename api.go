@@ -6,7 +6,7 @@
 // design.
 //
 //	prog, _ := bespoke.Assemble(source)
-//	res, _ := bespoke.Tailor(prog, nil)
+//	res, _ := bespoke.Tailor(context.Background(), prog, nil, bespoke.Options{})
 //	fmt.Println(res.GateSavings, res.PowerSavings)
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
@@ -36,8 +36,7 @@ type Workload = core.Workload
 // executable bespoke design.
 type Result = core.Result
 
-// Options tunes the flow (analysis limits, clock period, formal and
-// resilience gates).
+// Options tunes the flow (analysis limits and the formal gate).
 type Options = core.Options
 
 // FlowError is the structured failure of one pipeline stage. Every error
@@ -55,52 +54,28 @@ func Assemble(source string) (*Program, error) { return asm.Assemble(source) }
 // which gates the binary can never toggle for any input, cuts them,
 // re-synthesizes, places, and signs off timing and power against the
 // general purpose baseline. A nil workload measures power on a plain
-// run of the program.
-//
-// Tailor never honors cancellation (it runs under context.Background());
-// callers that need a bounded, cancellable flow use TailorContext.
-func Tailor(prog *Program, w *Workload) (*Result, error) {
-	return core.Tailor(context.Background(), prog, w, core.Options{})
-}
-
-// TailorContext is Tailor with explicit flow options under a caller
-// context. Cancellation and deadlines are honored inside the analysis and
-// simulation hot loops (checked every 1024 simulated cycles), so a
-// caller can bound the flow's wall-clock cost; the returned error wraps
-// context.Canceled or context.DeadlineExceeded.
-func TailorContext(ctx context.Context, prog *Program, w *Workload, opts Options) (*Result, error) {
+// run of the program. Cancellation and deadlines are honored inside the
+// analysis and simulation hot loops (checked every 1024 simulated
+// cycles), so a caller can bound the flow's wall-clock cost; the
+// returned error then wraps context.Canceled or
+// context.DeadlineExceeded.
+func Tailor(ctx context.Context, prog *Program, w *Workload, opts Options) (*Result, error) {
 	return core.Tailor(ctx, prog, w, opts)
 }
 
-// TailorWithOptions is Tailor with explicit flow options.
-func TailorWithOptions(prog *Program, w *Workload, opts Options) (*Result, error) {
-	return core.Tailor(context.Background(), prog, w, opts)
-}
-
 // TailorMulti produces one bespoke processor supporting every given
-// application (the union of their exercisable gates, Section 3.5).
-func TailorMulti(progs []*Program, ws []*Workload) (*Result, error) {
-	return core.TailorMulti(context.Background(), progs, ws, core.Options{})
-}
-
-// TailorMultiContext is TailorMulti under a caller context with explicit
-// options, with the same cancellation semantics as TailorContext.
-func TailorMultiContext(ctx context.Context, progs []*Program, ws []*Workload, opts Options) (*Result, error) {
+// application (the union of their exercisable gates, Section 3.5), with
+// the same cancellation semantics as Tailor.
+func TailorMulti(ctx context.Context, progs []*Program, ws []*Workload, opts Options) (*Result, error) {
 	return core.TailorMulti(ctx, progs, ws, opts)
 }
 
 // SupportsUpdate reports whether the bespoke design tailored to base
 // would execute update correctly: every gate the update can exercise
-// must be kept (the paper's Section 3.5 in-field update test).
-func SupportsUpdate(base []*Program, update *Program) (bool, error) {
-	return SupportsUpdateContext(context.Background(), base, update, Options{})
-}
-
-// SupportsUpdateContext is SupportsUpdate under a caller context with the
-// flow options propagated into both activity analyses (the base union and
-// the update), so a tuned MaxCycles or MergeThreshold applies to the whole
-// in-field update decision rather than only to the original tailoring.
-func SupportsUpdateContext(ctx context.Context, base []*Program, update *Program, opts Options) (bool, error) {
+// must be kept (the paper's Section 3.5 in-field update test). The
+// flow options apply to both activity analyses (the base union and the
+// update).
+func SupportsUpdate(ctx context.Context, base []*Program, update *Program, opts Options) (bool, error) {
 	missing, _, err := core.UpdateMissing(ctx, base, update, opts.Sym)
 	if err != nil {
 		return false, err

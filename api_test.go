@@ -2,6 +2,7 @@ package bespoke
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestPublicAPITailor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Tailor(prog, nil)
+	res, err := Tailor(context.Background(), prog, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestPublicAPISupportsUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := SupportsUpdate([]*Program{prog}, prog)
+	ok, err := SupportsUpdate(context.Background(), []*Program{prog}, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestPublicAPISupportsUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err = SupportsUpdate([]*Program{prog}, other)
+	ok, err = SupportsUpdate(context.Background(), []*Program{prog}, other, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestPublicAPITailorMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TailorMulti([]*Program{a, b}, nil)
+	res, err := TailorMulti(context.Background(), []*Program{a, b}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestPublicAPITailorMulti(t *testing.T) {
 
 func TestMalformedInputNoPanic(t *testing.T) {
 	// A nil program is rejected at the flow boundary.
-	_, err := Tailor(nil, nil)
+	_, err := Tailor(context.Background(), nil, nil, Options{})
 	if err == nil {
 		t.Fatal("tailoring a nil program succeeded")
 	}
@@ -98,7 +99,7 @@ func TestMalformedInputNoPanic(t *testing.T) {
 	// An empty image has no reset vector: whatever breaks inside the
 	// flow (including panics) must surface as a staged *FlowError, never
 	// as a panic escaping the public API.
-	_, err = Tailor(&Program{}, nil)
+	_, err = Tailor(context.Background(), &Program{}, nil, Options{})
 	if err == nil {
 		t.Fatal("tailoring an empty image succeeded")
 	}
@@ -120,10 +121,10 @@ func TestMalformedInputNoPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SupportsUpdate([]*Program{app}, low); err == nil {
+	if _, err := SupportsUpdate(context.Background(), []*Program{app}, low, Options{}); err == nil {
 		t.Error("an update below ROM was judged")
 	}
-	if _, err := SupportsUpdate([]*Program{low}, app); err == nil {
+	if _, err := SupportsUpdate(context.Background(), []*Program{low}, app, Options{}); err == nil {
 		t.Error("an update against a base below ROM was judged")
 	}
 }

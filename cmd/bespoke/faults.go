@@ -2,10 +2,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"bespoke/internal/bench"
@@ -15,14 +15,15 @@ import (
 )
 
 // faultsCmd runs the gate-level fault-injection campaigns on each
-// target: cut validation (every removed gate stuck at its claimed
-// constant must be invisible; the opposite constant must be detectable),
-// the SEU vulnerability comparison between the baseline and the bespoke
-// design, and the combinational SET resilience signoff (seeded transient
-// pulses on gate outputs, classified masked / latched-silent / visible
-// and aggregated into per-module vulnerability maps). Campaigns run on
-// the bit-parallel engine (63 faulty worlds plus a golden guard lane per
-// simulator pass), and the tables report their throughput.
+// tailored target: cut validation (every removed gate stuck at its
+// claimed constant must be invisible; the opposite constant must be
+// detectable), the SEU vulnerability comparison between the baseline and
+// the bespoke design, and the combinational SET resilience comparison
+// (seeded transient pulses on gate outputs, classified masked /
+// latched-silent / visible and aggregated into per-module vulnerability
+// maps). Campaigns run on the bit-parallel engine (63 faulty worlds plus
+// a golden guard lane per simulator pass), and the tables report their
+// throughput.
 //
 // A claimed-constant injection that diverges (the activity analysis
 // would be wrong) rejects the design, as does a bespoke design whose
@@ -31,13 +32,25 @@ func faultsCmd(fs *flag.FlagSet) runFunc {
 	var cfg campaignConfig
 	fs.IntVar(&cfg.opts.MaxFaults, "faults", 96, "stuck-at injections sampled per campaign (0 = every cut site)")
 	fs.IntVar(&cfg.seus, "seu", 48, "random SEU injections per design")
-	fs.IntVar(&cfg.sets, "set", 48, "random SET injections per design (0 disables the resilience stage)")
+	fs.IntVar(&cfg.sets, "set", 48, "random SET injections per design (0 disables the SET comparison)")
 	fs.Float64Var(&cfg.setBudget, "set-budget", 0, "tolerated visible SET fraction on the bespoke design (0 = report only, negative = zero tolerance)")
 	fs.BoolVar(&cfg.showMap, "map", false, "print the per-module SET vulnerability maps")
 	fs.BoolVar(&cfg.markdown, "markdown", false, "render tables as markdown (for the experiment docs)")
 	fs.IntVar(&cfg.opts.Workers, "workers", 0, "worker pool width (0 = GOMAXPROCS)")
 	fs.Uint64Var(&cfg.opts.Seed, "seed", 1, "campaign sampling seed")
 	return func(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+		if cfg.sets <= 0 {
+			var ignored []string
+			if cfg.setBudget != 0 {
+				ignored = append(ignored, "-set-budget")
+			}
+			if cfg.showMap {
+				ignored = append(ignored, "-map")
+			}
+			if len(ignored) > 0 {
+				return fmt.Errorf("-set %d runs no SET campaign; it takes no %s", cfg.sets, strings.Join(ignored, ", "))
+			}
+		}
 		if len(args) == 0 {
 			args = []string{"quick"}
 		}
@@ -78,39 +91,9 @@ func runCampaigns(ctx context.Context, list []*bench.Benchmark, cfg campaignConf
 		prog := b.MustProg()
 		w := b.Workload(1)
 		fmt.Fprintf(stdout, "tailoring %s...\n", b.Name)
-		tailorOpts := core.Options{}
-		if cfg.sets > 0 {
-			tailorOpts.Resilience = &core.ResilienceOptions{
-				Faults:     cfg.sets,
-				Seed:       cfg.opts.Seed,
-				Workers:    cfg.opts.Workers,
-				MaxVisible: cfg.setBudget,
-				Run:        faultinject.TailorGate,
-			}
-		}
-		res, err := core.Tailor(ctx, prog, w, tailorOpts)
-		var rep *core.ResilienceReport
+		res, err := core.Tailor(ctx, prog, w, core.Options{})
 		if err != nil {
-			var re *core.ResilienceError
-			if !errors.As(err, &re) {
-				return fmt.Errorf("%s: tailor: %w", b.Name, err)
-			}
-			// The resilience signoff rejected the tailored core: keep the
-			// report so the tables still show what the campaign saw, and
-			// fail after the full catalog has been characterized.
-			mod, frac := re.WorstModule()
-			violations = append(violations,
-				fmt.Sprintf("%s: %v (worst module %s at %s visible)", b.Name, re, mod, report.Pct(frac)))
-			rep = re.Report
-			// Rerun without the budget to get the cores for the
-			// remaining campaigns.
-			tailorOpts.Resilience = nil
-			res, err = core.Tailor(ctx, prog, w, tailorOpts)
-			if err != nil {
-				return fmt.Errorf("%s: tailor: %w", b.Name, err)
-			}
-		} else {
-			rep = res.Resilience
+			return fmt.Errorf("%s: tailor: %w", b.Name, err)
 		}
 
 		var thr throughput
@@ -151,14 +134,29 @@ func runCampaigns(ctx context.Context, list []*bench.Benchmark, cfg campaignConf
 		thrT.AddRow(b.Name, fmt.Sprint(thr.injections), fmt.Sprint(thr.batches),
 			fmt.Sprintf("%.2fs", thr.elapsed.Seconds()), thr.rate())
 
-		if rep != nil {
-			setT.AddRow(b.Name,
-				fmt.Sprint(rep.Baseline.Sites), fmt.Sprint(rep.Bespoke.Sites),
-				report.Pct(1-float64(rep.Bespoke.Sites)/float64(rep.Baseline.Sites)),
-				fmt.Sprint(rep.Baseline.Masked), fmt.Sprint(rep.Baseline.Latched), fmt.Sprint(rep.Baseline.Visible),
-				fmt.Sprint(rep.Bespoke.Masked), fmt.Sprint(rep.Bespoke.Latched), fmt.Sprint(rep.Bespoke.Visible))
-			addModuleRows(modT, b.Name, "base", rep.Baseline.Modules)
-			addModuleRows(modT, b.Name, "bespoke", rep.Bespoke.Modules)
+		if cfg.sets <= 0 {
+			continue
+		}
+		// SET injections stay out of the throughput table.
+		setBase, err := faultinject.SETCampaign(ctx, res.BaselineCore, prog, w, cfg.sets, cfg.opts)
+		if err != nil {
+			return fmt.Errorf("%s: baseline SET campaign: %w", b.Name, err)
+		}
+		setBesp, err := faultinject.SETCampaign(ctx, res.BespokeCore, prog, w, cfg.sets, cfg.opts)
+		if err != nil {
+			return fmt.Errorf("%s: bespoke SET campaign: %w", b.Name, err)
+		}
+		modsBase := faultinject.ModuleMap(res.BaselineCore.N, setBase)
+		modsBesp := faultinject.ModuleMap(res.BespokeCore.N, setBesp)
+		setT.AddRow(b.Name,
+			fmt.Sprint(setBase.Sites), fmt.Sprint(setBesp.Sites),
+			report.Pct(1-float64(setBesp.Sites)/float64(setBase.Sites)),
+			fmt.Sprint(setBase.Masked), fmt.Sprint(setBase.Latched), fmt.Sprint(setBase.Divergent()),
+			fmt.Sprint(setBesp.Masked), fmt.Sprint(setBesp.Latched), fmt.Sprint(setBesp.Divergent()))
+		addModuleRows(modT, b.Name, "base", modsBase)
+		addModuleRows(modT, b.Name, "bespoke", modsBesp)
+		if err := checkSETBudget(cfg.setBudget, setBesp, modsBesp); err != nil {
+			violations = append(violations, fmt.Sprintf("%s: %v", b.Name, err))
 		}
 	}
 	render := func(t *report.Table) {
@@ -192,7 +190,38 @@ func runCampaigns(ctx context.Context, list []*bench.Benchmark, cfg campaignConf
 	return nil
 }
 
-func addModuleRows(t *report.Table, benchName, design string, mods []core.ModuleVuln) {
+// checkSETBudget applies -set-budget to the bespoke design's SET
+// campaign rep, whose per-module map is mods. A budget of 0 only reports
+// (it tolerates every strike), a negative one tolerates no visible
+// strike, and a visible fraction equal to the budget passes. A violation
+// names the visible fraction, the budget, the visible and injected
+// counts, and the module with the highest visible fraction (the first
+// in name order on a tie).
+func checkSETBudget(budget float64, rep *faultinject.Report, mods []faultinject.ModuleVuln) error {
+	switch {
+	case budget == 0:
+		budget = 1
+	case budget < 0:
+		budget = 0
+	}
+	frac := 0.0
+	if rep.Injected > 0 {
+		frac = float64(rep.Divergent()) / float64(rep.Injected)
+	}
+	if frac <= budget {
+		return nil
+	}
+	worst := mods[0]
+	for _, m := range mods[1:] {
+		if m.VisibleFrac() > worst.VisibleFrac() {
+			worst = m
+		}
+	}
+	return fmt.Errorf("visible SET fraction %.4f exceeds budget %.4f (bespoke: %d/%d visible, worst module %s at %s visible)",
+		frac, budget, rep.Divergent(), rep.Injected, worst.Module, report.Pct(worst.VisibleFrac()))
+}
+
+func addModuleRows(t *report.Table, benchName, design string, mods []faultinject.ModuleVuln) {
 	for _, m := range mods {
 		t.AddRow(benchName, design, m.Module,
 			fmt.Sprint(m.Sites), fmt.Sprint(m.Injected),

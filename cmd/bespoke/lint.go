@@ -40,7 +40,9 @@ func lintCmd(fs *flag.FlagSet) runFunc {
 		}
 		cfg := lint.Config{}
 		if *analyzers != "" {
-			cfg.Analyzers = strings.Split(*analyzers, ",")
+			for _, name := range strings.Split(*analyzers, ",") {
+				cfg.Analyzers = append(cfg.Analyzers, strings.TrimSpace(name))
+			}
 		}
 		var (
 			target string

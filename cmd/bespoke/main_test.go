@@ -140,12 +140,19 @@ func TestDispatch(t *testing.T) {
 			2, "-check only reports update support; it takes no -coarse, -def, -path, -verilog"},
 		{"-netlist with targets", []string{"lint", "-netlist", verilog, "mult", b}, 2, "-netlist takes no targets, got mult " + b},
 		{"-list with a target", []string{"lint", "-list", "mult"}, 2, "-list takes no targets, got mult"},
+		{"-k without -induct", []string{"prove", "-k", "2", "mult"}, 2, "-k caps the induction ladder; it needs -induct or -invariants"},
+		{"-set 0 with SET flags", []string{"faults", "-faults", "8", "-seu", "0", "-set", "0", "-set-budget", "-1", "-map", "mult"},
+			2, "-set 0 runs no SET campaign; it takes no -set-budget, -map"},
+		{"analyzer names trimmed", []string{"lint", "-analyzer", "comb-loop, dead-logic", "mult"}, 0, "analyzers: comb-loop, dead-logic\nclean"},
 		{"faults loads its files", []string{"faults", filepath.Join(dir, "missing.s")}, 2, "missing.s: no such file"},
 		{"flow error names stage and target", []string{"faults", "-timeout", "1ns", "mult"},
 			2, "bespoke faults: mult: tailor: the analysis stage failed\nbespoke faults:   the -timeout budget expired"},
 		{"help", []string{"lint", "-h"}, 0, "-netlist string"},
 		{"list analyzers", []string{"lint", "-list"}, 0, "comb-loop"},
 		{"lint findings reject", []string{"lint", "-netlist", verilog}, 1, "findings"},
+		{"SET report only", []string{"faults", "-faults", "8", "-seu", "0", "-set", "24", "mult"}, 0, "SET resilience (baseline vs bespoke)"},
+		{"SET budget rejects", []string{"faults", "-faults", "8", "-seu", "0", "-set", "24", "-set-budget", "-1", "mult"},
+			1, "worst module multiplier at 18.2% visible)\nbespoke faults: 1 benchmark(s) failed the SET resilience signoff"},
 		{"update supported", []string{"tailor", "-check", a, b}, 0, "SUPPORTED: " + a},
 		{"update unsupported", []string{"tailor", "-check", mult, a}, 3, "NOT SUPPORTED: " + mult},
 	}

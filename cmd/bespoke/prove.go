@@ -64,6 +64,9 @@ func proveCmd(fs *flag.FlagSet) runFunc {
 	showInv := fs.Bool("invariants", false, "print the proved-invariant table per target (implies -induct)")
 	maxAssumed := fs.Int("max-assumed", -1, "reject the sweep when its total assumed claims exceed this (-1 = no gate)")
 	return func(ctx context.Context, args []string, stdout, _ io.Writer) error {
+		if *kDepth != 0 && !*useInduct && !*showInv {
+			return errors.New("-k caps the induction ladder; it needs -induct or -invariants")
+		}
 		if len(args) == 0 {
 			return errors.New("nothing to prove: pass benchmark names or .s files")
 		}

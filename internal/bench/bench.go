@@ -189,9 +189,6 @@ func (b *Benchmark) RunGate(seed uint64) (*core.RunTrace, error) {
 	return core.RunWorkload(context.Background(), c, p, b.Workload(seed))
 }
 
-// RunGate is a package-level convenience mirroring Benchmark.RunGate.
-func RunGate(b *Benchmark, seed uint64) (*core.RunTrace, error) { return b.RunGate(seed) }
-
 // RunISAWorkload drives a prepared machine through a workload until the
 // halt convention.
 func RunISAWorkload(m *isasim.Machine, w *core.Workload) error {

@@ -191,7 +191,7 @@ func TestGateLevelMatchesISA(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := RunGate(b, 1)
+			tr, err := b.RunGate(1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -124,10 +124,6 @@ func (s *Stimulus) Apply(cycle uint64) {
 type Options struct {
 	// Sym tunes the activity analysis.
 	Sym symexec.Options
-	// ClockPs overrides the clock period; 0 derives it from the
-	// baseline's critical path (the baseline just meets timing, like a
-	// design synthesized for its target frequency).
-	ClockPs float64
 	// Prove enables the formal gate: every cut constant must be proved
 	// implied by the proof environment (or recorded as assumed), and the
 	// bespoke netlist must be miter-equivalent to the baseline, for every
@@ -149,12 +145,6 @@ type Options struct {
 	// InductK caps the induction ladder depth when Induct is set
 	// (0: engine default).
 	InductK int
-	// Resilience, when non-nil, enables the resilience signoff stage: a
-	// combinational SET campaign on the baseline and bespoke designs,
-	// gated on the bespoke design's visible-fault budget. A violation
-	// (or an unconfigured runner) aborts the flow with a
-	// *ResilienceError inside the "resilience" stage.
-	Resilience *ResilienceOptions
 }
 
 // Metrics are the signoff numbers for one design point.
@@ -179,9 +169,6 @@ type Result struct {
 	// Proofs holds the per-program formal verification outcomes when
 	// Options.Prove was set (nil otherwise).
 	Proofs []ProofResult
-	// Resilience holds the SET campaign's base-vs-bespoke vulnerability
-	// comparison when Options.Resilience was set (nil otherwise).
-	Resilience *ResilienceReport
 
 	// Headline ratios (fractions, 0..1).
 	GateSavings      float64
@@ -331,8 +318,8 @@ func TailorCoarse(ctx context.Context, prog *asm.Program, w *Workload, opts Opti
 // the cut and re-synthesis, the lint gate, then per program the claim
 // proofs and the base-vs-bespoke miter (Options.Induct first adds the
 // k-induction strengthening and its CompareDomains tripwire). It places
-// nothing and runs no signoff, so ClockPs and Resilience are ignored.
-// Every error is a *FlowError, as from Tailor.
+// nothing and runs no signoff. Every error is a *FlowError, as from
+// Tailor.
 func Prove(ctx context.Context, progs []*asm.Program, opts Options) (proofs []ProofResult, err error) {
 	stage := "init"
 	defer guard(&stage, &err)
@@ -358,18 +345,16 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 	lib := cells.TSMC65()
 
 	// Baseline signoff. The clock is set so the baseline just meets
-	// timing unless overridden. Each design is placed once: placement is
-	// deterministic and nothing edits either netlist after it.
+	// timing, like a design synthesized for its target frequency. Each
+	// design is placed once: placement is deterministic and nothing
+	// edits either netlist after it.
 	stage = "baseline-signoff"
 	basePlace := layout.Place(baseline.N, lib)
-	clockPs := opts.ClockPs
-	if clockPs == 0 {
-		t, err := sta.Analyze(baseline.N, lib, basePlace, 0, blockPaths(baseline))
-		if err != nil {
-			return nil, stageErr(stage, netlist.None, err)
-		}
-		clockPs = t.CriticalPs * 1.02
+	t, err := sta.Analyze(baseline.N, lib, basePlace, 0, blockPaths(baseline))
+	if err != nil {
+		return nil, stageErr(stage, netlist.None, err)
 	}
+	clockPs := t.CriticalPs * 1.02
 	baseMet, _, err := measure(ctx, baseline, basePlace, progs[0], wsAt(ws, 0), lib, clockPs)
 	if err != nil {
 		return nil, stageErr(stage, netlist.None, fmt.Errorf("baseline workload: %w", err))
@@ -395,17 +380,6 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 		}
 	}
 
-	// Reliability gate: identical SET campaigns on both designs, failed
-	// closed on the bespoke design's visible-fault budget.
-	var resil *ResilienceReport
-	if opts.Resilience != nil {
-		stage = "resilience"
-		resil, err = resilienceGate(ctx, baseline, bespoke, progs[0], wsAt(ws, 0), *opts.Resilience)
-		if err != nil {
-			return nil, stageErr(stage, netlist.None, err)
-		}
-	}
-
 	// Exploit exposed slack: rerun power at Vmin.
 	stage = "vmin"
 	pwVmin := power.Analyze(bespoke.N, lib, besPlace, besTrace.Toggles, besTrace.Cycles, clockHz, besMet.Timing.Vmin)
@@ -418,7 +392,6 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 		CutStats:      d.cutStats,
 		SynthStats:    d.synthStats,
 		Proofs:        d.proofs,
-		Resilience:    resil,
 		BespokeCore:   bespoke,
 		BaselineCore:  baseline,
 	}

@@ -16,8 +16,7 @@ import (
 type FlowError struct {
 	// Stage names the pipeline stage that failed: "init", "analysis",
 	// "baseline-signoff", "cut" (cut and re-synthesis), "lint", "prove",
-	// "bespoke-signoff", "multi-check", "resilience", "vmin" or
-	// "workload".
+	// "bespoke-signoff", "multi-check", "vmin" or "workload".
 	Stage string
 	// Gate is the offending gate when the failure is localized to one
 	// (e.g. a cut constant that was not concrete); netlist.None otherwise.

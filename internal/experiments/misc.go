@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"bespoke/internal/bench"
 	"bespoke/internal/core"
@@ -258,5 +257,3 @@ func Table6(w io.Writer) {
 	}
 	t.Write(w)
 }
-
-var _ = time.Now

@@ -13,14 +13,14 @@
 //     bespoke design. The bespoke core has fewer fault sites (fewer
 //     cells, fewer flip-flops), so the same particle-strike model has
 //     fewer places to land - a robustness side benefit of tailoring.
-//  3. Resilience signoff: randomized single-event-transient (SET)
+//  3. Resilience comparison: randomized single-event-transient (SET)
 //     campaigns pulse combinational gate outputs mid-cycle, let the
 //     glitch propagate to the flip-flop D pins, and classify each
 //     strike as masked, latched-but-silent, or architecturally
-//     visible. TailorGate runs the same seeded campaign on the
-//     baseline and the bespoke design and aggregates the outcomes
-//     into the per-module vulnerability maps core.Tailor's optional
-//     resilience stage gates on.
+//     visible. Run with the same seed on the baseline and the bespoke
+//     design, ModuleMap folds each campaign into a per-module
+//     vulnerability map; `bespoke faults` gates the bespoke design's
+//     visible fraction on a budget.
 //
 // Campaigns compare every faulty run against a golden reference (the ISA
 // model's output stream, cross-checked against a clean gate-level run)
@@ -369,16 +369,40 @@ func combSites(n *netlist.Netlist) []netlist.GateID {
 	return sites
 }
 
+// ModuleVuln is one module's row in a vulnerability map.
+type ModuleVuln struct {
+	// Module is the top-level builder module name ("glue" for gates in
+	// the root module).
+	Module string
+	// Sites is the module's population of combinational SET sites.
+	Sites int
+	// Injected counts the campaign's strikes that landed in this module;
+	// Masked, Latched and Visible partition them by outcome.
+	Injected int
+	Masked   int
+	Latched  int
+	Visible  int
+}
+
+// VisibleFrac is the fraction of this module's injections that were
+// architecturally visible (0 when nothing was injected).
+func (m ModuleVuln) VisibleFrac() float64 {
+	if m.Injected == 0 {
+		return 0
+	}
+	return float64(m.Visible) / float64(m.Injected)
+}
+
 // ModuleMap folds a SET campaign's per-fault results into a per-module
 // vulnerability map, keyed by top-level builder module name (gates in
 // the root module map to "glue"), sorted by name. Site populations come
 // from the design; outcome counts from the report's Results.
-func ModuleMap(n *netlist.Netlist, rep *Report) []core.ModuleVuln {
-	byMod := map[string]*core.ModuleVuln{}
-	row := func(name string) *core.ModuleVuln {
+func ModuleMap(n *netlist.Netlist, rep *Report) []ModuleVuln {
+	byMod := map[string]*ModuleVuln{}
+	row := func(name string) *ModuleVuln {
 		m := byMod[name]
 		if m == nil {
-			m = &core.ModuleVuln{Module: name}
+			m = &ModuleVuln{Module: name}
 			byMod[name] = m
 		}
 		return m
@@ -411,7 +435,7 @@ func ModuleMap(n *netlist.Netlist, rep *Report) []core.ModuleVuln {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make([]core.ModuleVuln, len(names))
+	out := make([]ModuleVuln, len(names))
 	for i, name := range names {
 		out[i] = *byMod[name]
 	}
@@ -432,45 +456,6 @@ func moduleOfTop(n *netlist.Netlist, id netlist.GateID) string {
 		}
 	}
 	return path
-}
-
-// TailorGate is the core.ResilienceRunner the flow's resilience stage
-// calls (wire it via core.ResilienceOptions.Run): it runs identically
-// seeded SET campaigns on the baseline and the bespoke design and
-// aggregates both into per-module vulnerability maps.
-func TailorGate(ctx context.Context, base, bespoke *cpu.Core, prog *asm.Program, w *core.Workload, ro core.ResilienceOptions) (*core.ResilienceReport, error) {
-	n := ro.Faults
-	if n <= 0 {
-		n = 64
-	}
-	opts := Options{Workers: ro.Workers, Seed: ro.Seed}
-	baseRep, err := SETCampaign(ctx, base, prog, w, n, opts)
-	if err != nil {
-		return nil, fmt.Errorf("baseline design: %w", err)
-	}
-	bespRep, err := SETCampaign(ctx, bespoke, prog, w, n, opts)
-	if err != nil {
-		return nil, fmt.Errorf("bespoke design: %w", err)
-	}
-	return &core.ResilienceReport{
-		Faults:   n,
-		Seed:     ro.Seed,
-		Baseline: designVuln(base.N, baseRep),
-		Bespoke:  designVuln(bespoke.N, bespRep),
-	}, nil
-}
-
-// designVuln converts one campaign report into the flow's design-level
-// aggregate.
-func designVuln(n *netlist.Netlist, rep *Report) core.DesignVuln {
-	return core.DesignVuln{
-		Sites:    rep.Sites,
-		Injected: rep.Injected,
-		Masked:   rep.Masked,
-		Latched:  rep.Latched,
-		Visible:  rep.SDCs + rep.Hangs,
-		Modules:  ModuleMap(n, rep),
-	}
 }
 
 // Campaign runs an explicit fault list against the design: it
