@@ -7,14 +7,18 @@
 //
 // The JSON shape is the committed BENCH_<n>.json trajectory:
 //
-//	{"BenchmarkName": {"ns_per_op": 123, "count": 3}}
+//	{"BenchmarkName": {"ns_per_op": 123, "count": 3, "bytes_per_op": 4096}}
+//
+// bytes_per_op, the mean B/op, is there only when the log has a B/op
+// column (go test -benchmem).
 //
 // In diff mode the exit status is 1 when any benchmark present in both
 // files slowed down by more than the threshold ratio (default 1.10, a
 // 10% regression); benchmarks that appear or disappear are reported but
-// do not fail the diff, so the suite can grow. With -baseline-glob the
-// baseline is the highest-numbered matching file, so committing
-// BENCH_7.json later retargets the gate without a CI edit.
+// do not fail the diff, so the suite can grow. B/op is printed beside
+// ns/op but never gated. With -baseline-glob the baseline is the
+// highest-numbered matching file, so committing BENCH_7.json later
+// retargets the gate without a CI edit.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -30,8 +35,9 @@ import (
 )
 
 type entry struct {
-	NsPerOp float64 `json:"ns_per_op"`
-	Count   int     `json:"count"`
+	NsPerOp    float64  `json:"ns_per_op"`
+	Count      int      `json:"count"`
+	BytesPerOp *float64 `json:"bytes_per_op,omitempty"`
 }
 
 func main() {
@@ -81,20 +87,40 @@ func main() {
 	}
 }
 
-// doSummarize averages each benchmark's ns/op over its repetitions in a
-// `go test -bench` text log and writes the JSON summary.
-func doSummarize(path string, w *os.File) error {
+// doSummarize summarizes the `go test -bench` text log at path and
+// writes the JSON summary.
+func doSummarize(path string, w io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sum := map[string]*entry{}
-	line := regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-	sc := bufio.NewScanner(f)
+	out, err := summarize(f)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
+var (
+	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	bytesField = regexp.MustCompile(`\s([0-9.]+) B/op`)
+)
+
+// summarize averages each benchmark's ns/op, and its B/op where the log
+// has that column, over its repetitions in a `go test -bench` text log.
+func summarize(r io.Reader) (map[string]entry, error) {
+	type sums struct {
+		ns, bytes   float64
+		n, bytesRep int
+	}
+	sum := map[string]*sums{}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		m := line.FindStringSubmatch(sc.Text())
+		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
@@ -104,22 +130,31 @@ func doSummarize(path string, w *os.File) error {
 		}
 		e := sum[m[1]]
 		if e == nil {
-			e = &entry{}
+			e = &sums{}
 			sum[m[1]] = e
 		}
-		e.NsPerOp += ns
-		e.Count++
+		e.ns += ns
+		e.n++
+		if b := bytesField.FindStringSubmatch(sc.Text()[len(m[0]):]); b != nil {
+			if v, err := strconv.ParseFloat(b[1], 64); err == nil {
+				e.bytes += v
+				e.bytesRep++
+			}
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	out := make(map[string]entry, len(sum))
 	for name, e := range sum {
-		out[name] = entry{NsPerOp: e.NsPerOp / float64(e.Count), Count: e.Count}
+		en := entry{NsPerOp: e.ns / float64(e.n), Count: e.n}
+		if e.bytesRep > 0 {
+			b := e.bytes / float64(e.bytesRep)
+			en.BytesPerOp = &b
+		}
+		out[name] = en
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out, nil
 }
 
 // newestBaseline returns the matching file with the highest embedded
@@ -155,9 +190,23 @@ func load(path string) (map[string]entry, error) {
 	return out, nil
 }
 
+// memCol formats the B/op beside one diff row's ns/op: "old -> new"
+// when both summaries record it, the new value alone when only the new
+// one does, and nothing otherwise.
+func memCol(o, n *float64) string {
+	switch {
+	case n == nil:
+		return ""
+	case o == nil:
+		return fmt.Sprintf("  %.0f B/op", *n)
+	}
+	return fmt.Sprintf("  %.0f -> %.0f B/op", *o, *n)
+}
+
 // diff prints a comparison table and returns the number of regressions
-// beyond the threshold.
-func diff(w *os.File, oldPath string, older, newer map[string]entry, threshold float64) int {
+// beyond the threshold. B/op is printed where a summary has it, never
+// gated.
+func diff(w io.Writer, oldPath string, older, newer map[string]entry, threshold float64) int {
 	names := make([]string, 0, len(newer))
 	for name := range newer {
 		names = append(names, name)
@@ -169,7 +218,7 @@ func diff(w *os.File, oldPath string, older, newer map[string]entry, threshold f
 		n := newer[name]
 		o, ok := older[name]
 		if !ok || o.NsPerOp <= 0 {
-			fmt.Fprintf(w, "  %-40s %12.0f ns/op  (new benchmark)\n", name, n.NsPerOp)
+			fmt.Fprintf(w, "  %-40s %12.0f ns/op  (new benchmark)%s\n", name, n.NsPerOp, memCol(nil, n.BytesPerOp))
 			continue
 		}
 		ratio := n.NsPerOp / o.NsPerOp
@@ -178,7 +227,8 @@ func diff(w *os.File, oldPath string, older, newer map[string]entry, threshold f
 			verdict = "REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(w, "  %-40s %12.0f -> %12.0f ns/op  %.3fx  %s\n", name, o.NsPerOp, n.NsPerOp, ratio, verdict)
+		fmt.Fprintf(w, "  %-40s %12.0f -> %12.0f ns/op  %.3fx  %s%s\n",
+			name, o.NsPerOp, n.NsPerOp, ratio, verdict, memCol(o.BytesPerOp, n.BytesPerOp))
 	}
 	for name := range older {
 		if _, ok := newer[name]; !ok {

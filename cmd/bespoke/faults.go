@@ -39,7 +39,15 @@ func faultsCmd(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&cfg.opts.Workers, "workers", 0, "worker pool width (0 = GOMAXPROCS)")
 	fs.Uint64Var(&cfg.opts.Seed, "seed", 1, "campaign sampling seed")
 	return func(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-		if cfg.sets <= 0 {
+		for _, f := range []struct {
+			name string
+			n    int
+		}{{"-faults", cfg.opts.MaxFaults}, {"-seu", cfg.seus}, {"-set", cfg.sets}} {
+			if f.n < 0 {
+				return fmt.Errorf("%s %d: an injection count cannot be negative", f.name, f.n)
+			}
+		}
+		if cfg.sets == 0 {
 			var ignored []string
 			if cfg.setBudget != 0 {
 				ignored = append(ignored, "-set-budget")
@@ -134,7 +142,7 @@ func runCampaigns(ctx context.Context, list []*bench.Benchmark, cfg campaignConf
 		thrT.AddRow(b.Name, fmt.Sprint(thr.injections), fmt.Sprint(thr.batches),
 			fmt.Sprintf("%.2fs", thr.elapsed.Seconds()), thr.rate())
 
-		if cfg.sets <= 0 {
+		if cfg.sets == 0 {
 			continue
 		}
 		// SET injections stay out of the throughput table.

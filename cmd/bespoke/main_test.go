@@ -143,6 +143,9 @@ func TestDispatch(t *testing.T) {
 		{"-k without -induct", []string{"prove", "-k", "2", "mult"}, 2, "-k caps the induction ladder; it needs -induct or -invariants"},
 		{"-set 0 with SET flags", []string{"faults", "-faults", "8", "-seu", "0", "-set", "0", "-set-budget", "-1", "-map", "mult"},
 			2, "-set 0 runs no SET campaign; it takes no -set-budget, -map"},
+		{"negative -seu", []string{"faults", "-faults", "8", "-seu", "-1", "-set", "0", "mult"}, 2, "bespoke faults: -seu -1: an injection count cannot be negative"},
+		{"negative -set", []string{"faults", "-faults", "8", "-seu", "0", "-set", "-2", "mult"}, 2, "bespoke faults: -set -2: an injection count cannot be negative"},
+		{"negative -faults", []string{"faults", "-faults", "-3", "mult"}, 2, "bespoke faults: -faults -3: an injection count cannot be negative"},
 		{"analyzer names trimmed", []string{"lint", "-analyzer", "comb-loop, dead-logic", "mult"}, 0, "analyzers: comb-loop, dead-logic\nclean"},
 		{"faults loads its files", []string{"faults", filepath.Join(dir, "missing.s")}, 2, "missing.s: no such file"},
 		{"flow error names stage and target", []string{"faults", "-timeout", "1ns", "mult"},

@@ -618,6 +618,7 @@ type prover struct {
 	combIdx  []int
 	invSel   []sat.Lit       // per-invariant selector assumptions
 	invByLit map[sat.Lit]int // selector literal -> invariant index
+	assume   []sat.Lit       // decide's assumption buffer, refilled per claim
 	buildErr error
 	budget   int64
 }
@@ -666,6 +667,7 @@ func newProver(env *Env, unitIdx, residueComb []int, opts Options) *prover {
 		c := env.Claims[i]
 		p.combLit[i] = f.Lit(c.Gate, c.Val)
 	}
+	p.assume = make([]sat.Lit, 0, len(p.invSel)+len(residueComb)+1)
 	return p
 }
 
@@ -693,8 +695,7 @@ func (p *prover) decide(ctx context.Context, ci int) (o outcome, err error) {
 	defer func() { o.conflicts = p.s.Stats().Conflicts - start }()
 	c := p.env.Claims[ci]
 	t := targetNet(p.env.N, c)
-	base := make([]sat.Lit, 0, len(p.invSel)+len(p.combIdx)+1)
-	base = append(base, p.invSel...)
+	base := append(p.assume[:0], p.invSel...)
 	for _, i := range p.combIdx {
 		if i == ci {
 			continue // never assume the claim under test

@@ -281,8 +281,11 @@ func stuckAtCampaign(ctx context.Context, c *cpu.Core, prog *asm.Program, w *cor
 
 // SEUCampaign injects n transient bit flips at random (flip-flop, cycle)
 // pairs drawn deterministically from opts.Seed, with strike cycles spread
-// over the golden run's duration.
+// over the golden run's duration. A negative n is an error.
 func SEUCampaign(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, n int, opts Options) (*Report, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("faultinject: SEU campaign of %d injections; the count cannot be negative", n)
+	}
 	g, err := GoldenRun(ctx, c, prog, w)
 	if err != nil {
 		return nil, err
@@ -323,8 +326,11 @@ func SEUCampaign(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Wo
 // Each strike inverts the gate's settled output mid-cycle; the glitch
 // propagates to the flip-flop D pins and expires at the next clock
 // edge. Outcomes distinguish latched-but-silent strikes from
-// architecturally visible ones.
+// architecturally visible ones. A negative n is an error.
 func SETCampaign(ctx context.Context, c *cpu.Core, prog *asm.Program, w *core.Workload, n int, opts Options) (*Report, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("faultinject: SET campaign of %d injections; the count cannot be negative", n)
+	}
 	g, err := GoldenRun(ctx, c, prog, w)
 	if err != nil {
 		return nil, err

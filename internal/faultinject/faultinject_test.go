@@ -179,6 +179,22 @@ func TestSEUCampaign(t *testing.T) {
 	}
 }
 
+// TestNegativeCampaignSizeIsAnError: an SEU or SET campaign asked for a
+// negative number of injections returns an error naming the count, not
+// a panic or an empty report.
+func TestNegativeCampaignSizeIsAnError(t *testing.T) {
+	_, prog, w := multSetup(t)
+	for name, campaign := range map[string]func(context.Context, *cpu.Core, *asm.Program, *core.Workload, int, Options) (*Report, error){
+		"SEU": SEUCampaign,
+		"SET": SETCampaign,
+	} {
+		rep, err := campaign(context.Background(), cpu.Build(), prog, w, -1, Options{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), name+" campaign of -1 injections") {
+			t.Errorf("%s campaign of -1: report %v, error %v; want an error naming the count", name, rep, err)
+		}
+	}
+}
+
 // TestCampaignCancellation: a cancelled context aborts a campaign with
 // the context error rather than hanging or finishing.
 func TestCampaignCancellation(t *testing.T) {

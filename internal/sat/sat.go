@@ -211,22 +211,39 @@ func (s *Solver) Reset() {
 	}
 }
 
+// reserve returns s with capacity for at least n elements. When it must
+// reallocate it at least doubles the capacity: append grows a large
+// slice about 1.25x at a time, so over a growing instance it allocates
+// about five times the final storage, where doubling allocates about
+// twice.
+func reserve[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), n))
+	copy(t, s)
+	return t
+}
+
 // NewVar introduces a fresh variable. It starts never bumped, at an
 // index no lower than the decision cursor s.next.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.level))
-	s.vals = append(s.vals, lUndef, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, -1)
-	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, false)
-	s.seen = append(s.seen, false)
-	if n := len(s.watches) + 2; n <= cap(s.watches) {
-		s.watches = s.watches[:n] // two lists Reset emptied, storage kept
-	} else {
-		s.watches = append(s.watches, nil, nil)
-	}
-	s.order.pos = append(s.order.pos, -1)
+	n := int(v) + 1
+	s.vals = append(reserve(s.vals, 2*n), lUndef, lUndef)
+	s.level = append(reserve(s.level, n), 0)
+	s.reason = append(reserve(s.reason, n), -1)
+	s.activity = append(reserve(s.activity, n), 0)
+	s.phase = append(reserve(s.phase, n), false)
+	s.seen = append(reserve(s.seen, n), false)
+	// The two new lists are nil, or lists Reset emptied with their
+	// storage kept.
+	s.watches = reserve(s.watches, 2*n)[:2*n]
+	s.order.pos = append(reserve(s.order.pos, n), -1)
+	// The trail and the heap hold each variable at most once, so their
+	// appends never reallocate.
+	s.trail = reserve(s.trail, n)
+	s.order.data = reserve(s.order.data, n)
 	return v
 }
 
@@ -306,10 +323,10 @@ func (s *Solver) attach(lits []Lit, learnt bool) int32 {
 	hdr := Lit(len(lits)) << hdrBits
 	if learnt {
 		hdr |= hdrLearnt
-		s.learnts = append(s.learnts, ref)
+		s.learnts = append(reserve(s.learnts, len(s.learnts)+1), ref)
 		s.stats.Learnts++
 	}
-	s.arena = append(s.arena, hdr, Lit(math.Float32bits(1)))
+	s.arena = append(reserve(s.arena, len(s.arena)+hdrWords+len(lits)), hdr, Lit(math.Float32bits(1)))
 	s.arena = append(s.arena, lits...)
 	w := watchRef(ref, len(lits))
 	s.watches[lits[0]] = append(s.watches[lits[0]], watch{w, lits[1]})
@@ -805,7 +822,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...Lit) (Status, error) 
 		next := s.pickBranch()
 		if next == LitUndef {
 			// Full assignment: record the model.
-			s.modelBuf = append(s.modelBuf[:0], s.vals...)
+			s.modelBuf = append(reserve(s.modelBuf[:0], len(s.vals)), s.vals...)
 			s.model = s.modelBuf
 			return Sat, nil
 		}
