@@ -406,7 +406,7 @@ var provedMult struct {
 
 // BenchmarkProveClaims measures the per-claim prover alone on mult's real
 // core with the proved invariants in place, as the flow runs it under
-// Options.Induct, on one worker; only equiv.ProveClaims is timed.
+// Options.Induct; only equiv.ProveClaims is timed.
 func BenchmarkProveClaims(b *testing.B) {
 	provedMult.once.Do(func() {
 		env, spec, err := multProof()
@@ -425,7 +425,7 @@ func BenchmarkProveClaims(b *testing.B) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rep, err = equiv.ProveClaims(context.Background(), provedMult.env, equiv.Options{Workers: 1}); err != nil {
+		if rep, err = equiv.ProveClaims(context.Background(), provedMult.env, equiv.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

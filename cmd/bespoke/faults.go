@@ -36,7 +36,6 @@ func faultsCmd(fs *flag.FlagSet) runFunc {
 	fs.Float64Var(&cfg.setBudget, "set-budget", 0, "tolerated visible SET fraction on the bespoke design (0 = report only, negative = zero tolerance)")
 	fs.BoolVar(&cfg.showMap, "map", false, "print the per-module SET vulnerability maps")
 	fs.BoolVar(&cfg.markdown, "markdown", false, "render tables as markdown (for the experiment docs)")
-	fs.IntVar(&cfg.opts.Workers, "workers", 0, "worker pool width (0 = GOMAXPROCS)")
 	fs.Uint64Var(&cfg.opts.Seed, "seed", 1, "campaign sampling seed")
 	return func(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		for _, f := range []struct {

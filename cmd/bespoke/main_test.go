@@ -141,6 +141,10 @@ func TestDispatch(t *testing.T) {
 		{"-netlist with targets", []string{"lint", "-netlist", verilog, "mult", b}, 2, "-netlist takes no targets, got mult " + b},
 		{"-list with a target", []string{"lint", "-list", "mult"}, 2, "-list takes no targets, got mult"},
 		{"-k without -induct", []string{"prove", "-k", "2", "mult"}, 2, "-k caps the induction ladder; it needs -induct or -invariants"},
+		{"negative -k", []string{"prove", "-k", "-3", "-induct", "mult"}, 2, "bespoke prove: -k -3: an induction depth cannot be negative"},
+		{"negative -budget", []string{"prove", "-budget", "-5", "mult"}, 2, "bespoke prove: -budget -5: a conflict budget cannot be negative"},
+		{"-max-assumed below -1", []string{"prove", "-max-assumed", "-7", "mult"}, 2, "bespoke prove: -max-assumed -7: the gate is -1 (off) or an assumed-claim count"},
+		{"retired -workers flag", []string{"prove", "-workers", "2", "mult"}, 2, "flag provided but not defined: -workers"},
 		{"-set 0 with SET flags", []string{"faults", "-faults", "8", "-seu", "0", "-set", "0", "-set-budget", "-1", "-map", "mult"},
 			2, "-set 0 runs no SET campaign; it takes no -set-budget, -map"},
 		{"negative -seu", []string{"faults", "-faults", "8", "-seu", "-1", "-set", "0", "mult"}, 2, "bespoke faults: -seu -1: an injection count cannot be negative"},

@@ -57,13 +57,20 @@ type proveRow struct {
 // sweep goes on.
 func proveCmd(fs *flag.FlagSet) runFunc {
 	jsonOut := fs.Bool("json", false, "emit the results as JSON")
-	workers := fs.Int("workers", 0, "parallel proof workers (0 = all cores)")
 	budget := fs.Int64("budget", 0, "per-query conflict budget (0 = default)")
 	useInduct := fs.Bool("induct", false, "infer and prove reachable-state invariants by k-induction; drop the dynamic-domain hypotheses")
 	kDepth := fs.Int("k", 0, "maximum induction ladder depth with -induct (0 = engine default)")
 	showInv := fs.Bool("invariants", false, "print the proved-invariant table per target (implies -induct)")
 	maxAssumed := fs.Int("max-assumed", -1, "reject the sweep when its total assumed claims exceed this (-1 = no gate)")
 	return func(ctx context.Context, args []string, stdout, _ io.Writer) error {
+		switch {
+		case *budget < 0:
+			return fmt.Errorf("-budget %d: a conflict budget cannot be negative", *budget)
+		case *kDepth < 0:
+			return fmt.Errorf("-k %d: an induction depth cannot be negative", *kDepth)
+		case *maxAssumed < -1:
+			return fmt.Errorf("-max-assumed %d: the gate is -1 (off) or an assumed-claim count", *maxAssumed)
+		}
 		if *kDepth != 0 && !*useInduct && !*showInv {
 			return errors.New("-k caps the induction ladder; it needs -induct or -invariants")
 		}
@@ -75,7 +82,7 @@ func proveCmd(fs *flag.FlagSet) runFunc {
 			return err
 		}
 		opts := core.Options{
-			ProveOpts: equiv.Options{Workers: *workers, QueryBudget: *budget},
+			ProveOpts: equiv.Options{QueryBudget: *budget},
 			Induct:    *useInduct || *showInv,
 			InductK:   *kDepth,
 		}

@@ -114,8 +114,7 @@ func muxW(a, b, sel W) W {
 }
 
 // Block is the lane-aware behavioral macro interface, mirroring
-// sim.Block without the snapshot half (the bit-parallel engine runs
-// concrete batches, never the symbolic explorer).
+// sim.Block.
 type Block interface {
 	// Inputs returns the nets the block reads during Eval and Clock.
 	Inputs() []netlist.GateID

@@ -5,11 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bespoke/internal/bench"
 	"bespoke/internal/core"
-	"bespoke/internal/equiv"
 )
 
 // multInvariantsSHA256 is the SHA-256 of mult's proved invariant set:
@@ -35,18 +35,15 @@ const multProvenanceSHA256 = "31f2d56feaf5db23a3096bec77d133c09747dd6b7164c237e4
 // candidates alone, so performance work on internal/induct and
 // internal/sat must keep them, search changes included. The provenance
 // digest adds the UNSAT-core use counts, which a search change may move
-// and which anything else must keep. The claim proofs run on one
-// worker: with more, which solver proves which claim varies run to run,
-// and with it the UNSAT cores behind the provenance's use counts.
+// and which anything else must keep. It runs at GOMAXPROCS 3, so proof
+// outputs that depend on the core count fail it.
 func TestInductMultPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping real-core k-induction")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	bm := bench.ByName("mult")
-	res, err := core.Tailor(context.Background(), bm.MustProg(), bm.Workload(1), core.Options{
-		Induct:    true,
-		ProveOpts: equiv.Options{Workers: 1},
-	})
+	res, err := core.Tailor(context.Background(), bm.MustProg(), bm.Workload(1), core.Options{Induct: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,20 +8,17 @@ import (
 	"bespoke/internal/asm"
 	"bespoke/internal/bench"
 	"bespoke/internal/core"
-	"bespoke/internal/equiv"
 )
 
 // TestProveMatchesTailor checks that the formal gate run on its own is
 // the gate Tailor applies: on mult, core.Prove and core.Tailor with
-// Options.Prove return the same claim tallies and miter outcome. The
-// claim proofs run on one worker so both runs decide every claim on the
-// same solver.
+// Options.Prove return the same claim tallies and miter outcome.
 func TestProveMatchesTailor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping SAT proof gate")
 	}
 	bm := bench.ByName("mult")
-	opts := core.Options{ProveOpts: equiv.Options{Workers: 1}}
+	var opts core.Options
 	proofs, err := core.Prove(context.Background(), []*asm.Program{bm.MustProg()}, opts)
 	if err != nil {
 		t.Fatal(err)

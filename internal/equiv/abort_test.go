@@ -68,7 +68,7 @@ func TestProveClaimsPreCancelled(t *testing.T) {
 	n, claims := abortNetlist()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ProveClaims(ctx, &Env{N: n, Claims: claims}, Options{Workers: 1})
+	_, err := ProveClaims(ctx, &Env{N: n, Claims: claims}, Options{})
 	var le *LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("want *LimitError, got %v", err)
@@ -96,7 +96,7 @@ func TestProveClaimsDeadline(t *testing.T) {
 	n, claims := abortNetlist()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel()
-	_, err := ProveClaims(ctx, &Env{N: n, Claims: claims}, Options{Workers: 1})
+	_, err := ProveClaims(ctx, &Env{N: n, Claims: claims}, Options{})
 	var le *LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("want *LimitError, got %v", err)
@@ -137,7 +137,7 @@ func parityNetlist() (*netlist.Netlist, []cut.Claim) {
 func TestProveClaimsBudgetExhaustion(t *testing.T) {
 	n, claims := parityNetlist()
 	rep, err := ProveClaims(context.Background(), &Env{N: n, Claims: claims},
-		Options{Workers: 1, QueryBudget: 1})
+		Options{QueryBudget: 1})
 	if err != nil {
 		t.Fatalf("budget exhaustion must not be an error: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestProveClaimsBudgetExhaustion(t *testing.T) {
 		t.Fatalf("completed run bookkeeping: %d != %d claims", got, len(claims))
 	}
 	// Sanity: with a real budget the same claim proves.
-	rep2, err := ProveClaims(context.Background(), &Env{N: n, Claims: claims}, Options{Workers: 1})
+	rep2, err := ProveClaims(context.Background(), &Env{N: n, Claims: claims}, Options{})
 	if err != nil || rep2.Proved() != 1 {
 		t.Fatalf("claim should prove under the default budget: %+v, %v", rep2, err)
 	}

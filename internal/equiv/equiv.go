@@ -47,7 +47,6 @@ import (
 	"bespoke/internal/cut"
 	"bespoke/internal/logic"
 	"bespoke/internal/netlist"
-	"bespoke/internal/parallel"
 	"bespoke/internal/sat"
 	"bespoke/internal/symexec"
 )
@@ -174,8 +173,7 @@ type Report struct {
 	Refuted          int
 	// SATQueries counts individual Solve calls dispatched.
 	SATQueries int64
-	// Conflicts totals the solver conflicts of the per-claim queries
-	// across all workers.
+	// Conflicts totals the solver conflicts of the per-claim queries.
 	Conflicts int64
 }
 
@@ -290,8 +288,6 @@ func (e *LimitError) Unwrap() error { return e.Err }
 
 // Options tunes proving.
 type Options struct {
-	// Workers is the parallel query dispatch width (0 = GOMAXPROCS).
-	Workers int
 	// QueryBudget caps solver conflicts per individual query; a query
 	// that exhausts it is classified Assumed. 0 means the default
 	// (50000).
@@ -376,35 +372,29 @@ func ProveClaims(ctx context.Context, env *Env, opts Options) (*Report, error) {
 		}
 	}
 
-	// Phase 3: per-claim violation queries, fanned out with one
-	// solver+frame per worker.
-	outcomes := make([]outcome, len(residue))
-	perr := parallel.ForEachState(ctx, opts.Workers, len(residue),
-		func(worker int) *prover {
-			return newProver(env, unitIdx, residueComb, opts)
-		},
-		func(p *prover, qi int) error {
-			if p.buildErr != nil {
-				return p.buildErr
-			}
-			ci := residue[qi]
-			o, err := p.decide(ctx, ci)
-			if err != nil {
-				return err
-			}
-			outcomes[qi] = o
-			return nil
-		})
-	for qi, o := range outcomes {
-		if o.verdict == Unproved {
-			continue // worker never reached it (abort)
+	// Phase 3: per-claim violation queries, in claim order on one
+	// incremental solver. Its learnt clauses carry from claim to claim,
+	// so the fixed order fixes the UNSAT cores behind Used as well. An
+	// abort leaves the claims not yet decided Unproved.
+	var perr error
+	if len(residue) > 0 {
+		p, err := newProver(env, unitIdx, residueComb, opts)
+		if err != nil {
+			return nil, err
 		}
-		rep.Results[residue[qi]].Verdict = o.verdict
-		rep.Results[residue[qi]].Counterexample = o.cex
-		rep.Results[residue[qi]].Used = o.used
-		rep.Results[residue[qi]].K = o.k
-		rep.SATQueries += o.queries
-		rep.Conflicts += o.conflicts
+		for _, ci := range residue {
+			if perr = ctx.Err(); perr != nil {
+				break
+			}
+			var o outcome
+			if o, perr = p.decide(ctx, ci); perr != nil {
+				break
+			}
+			cr := &rep.Results[ci]
+			cr.Verdict, cr.Counterexample, cr.Used, cr.K = o.verdict, o.cex, o.used, o.k
+			rep.SATQueries += o.queries
+			rep.Conflicts += o.conflicts
+		}
 	}
 
 	// Phase 4: claims the frame queries exhausted their budget on (or
@@ -604,12 +594,12 @@ type outcome struct {
 	used    []int32
 	k       int
 	queries int64
-	// conflicts is the worker solver's conflict count spent on this
-	// claim's queries.
+	// conflicts is the solver's conflict count spent on this claim's
+	// queries.
 	conflicts int64
 }
 
-// prover is one worker's solver instance for phase-3 queries.
+// prover is the solver instance for phase-3 queries.
 type prover struct {
 	env      *Env
 	f        *Frame
@@ -619,17 +609,15 @@ type prover struct {
 	invSel   []sat.Lit       // per-invariant selector assumptions
 	invByLit map[sat.Lit]int // selector literal -> invariant index
 	assume   []sat.Lit       // decide's assumption buffer, refilled per claim
-	buildErr error
 	budget   int64
 }
 
-func newProver(env *Env, unitIdx, residueComb []int, opts Options) *prover {
+func newProver(env *Env, unitIdx, residueComb []int, opts Options) (*prover, error) {
 	p := &prover{env: env, budget: opts.queryBudget()}
 	p.s = sat.New()
 	f, err := NewFrame(p.s, env.N, nil)
 	if err != nil {
-		p.buildErr = err
-		return p
+		return nil, err
 	}
 	p.f = f
 	if env.ROM != nil {
@@ -657,8 +645,7 @@ func newProver(env *Env, unitIdx, residueComb []int, opts Options) *prover {
 		c := env.Claims[i]
 		if !p.s.AddClause(f.Lit(c.Gate, c.Val)) {
 			// Cannot happen: phase 2 proved these consistent. Guard anyway.
-			p.buildErr = fmt.Errorf("equiv: unit claims inconsistent after consistency check")
-			return p
+			return nil, fmt.Errorf("equiv: unit claims inconsistent after consistency check")
 		}
 	}
 	p.combLit = make(map[int]sat.Lit, len(residueComb))
@@ -668,7 +655,7 @@ func newProver(env *Env, unitIdx, residueComb []int, opts Options) *prover {
 		p.combLit[i] = f.Lit(c.Gate, c.Val)
 	}
 	p.assume = make([]sat.Lit, 0, len(p.invSel)+len(residueComb)+1)
-	return p
+	return p, nil
 }
 
 // provenance extracts the invariant indexes of the final conflict from

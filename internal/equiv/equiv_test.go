@@ -160,7 +160,7 @@ func TestProveClaimsChain(t *testing.T) {
 			{Gate: nq, Val: logic.Zero},
 		},
 	}
-	rep, err := ProveClaims(context.Background(), env, Options{Workers: 1})
+	rep, err := ProveClaims(context.Background(), env, Options{})
 	if err != nil {
 		t.Fatalf("ProveClaims: %v", err)
 	}
@@ -181,7 +181,7 @@ func TestProveClaimsRefutesCorruption(t *testing.T) {
 			{Gate: nq, Val: logic.One}, // corrupted: !1 is 0
 		},
 	}
-	rep, err := ProveClaims(context.Background(), env, Options{Workers: 1})
+	rep, err := ProveClaims(context.Background(), env, Options{})
 	if err != nil {
 		t.Fatalf("ProveClaims: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestUnconstrainedIsAssumed(t *testing.T) {
 	b := n.Add(netlist.Gate{Kind: netlist.Buf, In: [3]netlist.GateID{in, netlist.None, netlist.None}})
 	n.MarkOutput("b", b)
 	env := &Env{N: n, Claims: []cut.Claim{{Gate: b, Val: logic.Zero}}}
-	rep, err := ProveClaims(context.Background(), env, Options{Workers: 1})
+	rep, err := ProveClaims(context.Background(), env, Options{})
 	if err != nil {
 		t.Fatalf("ProveClaims: %v", err)
 	}

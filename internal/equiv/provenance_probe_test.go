@@ -24,7 +24,7 @@ func TestProvenanceNamesUsedInvariants(t *testing.T) {
 	claims := []cut.Claim{{Gate: g, Val: logic.Zero}}
 
 	// Without the invariant the flip-flop is unconstrained: Assumed.
-	rep, err := ProveClaims(context.Background(), &Env{N: n, Claims: claims}, Options{Workers: 1})
+	rep, err := ProveClaims(context.Background(), &Env{N: n, Claims: claims}, Options{})
 	if err != nil {
 		t.Fatalf("ProveClaims (no invariant): %v", err)
 	}
@@ -39,7 +39,7 @@ func TestProvenanceNamesUsedInvariants(t *testing.T) {
 		Cubes: []logic.Word{logic.KnownWord(0)},
 	}
 	rep, err = ProveClaims(context.Background(),
-		&Env{N: n, Claims: claims, Invariants: []Invariant{iv}}, Options{Workers: 1})
+		&Env{N: n, Claims: claims, Invariants: []Invariant{iv}}, Options{})
 	if err != nil {
 		t.Fatalf("ProveClaims (with invariant): %v", err)
 	}

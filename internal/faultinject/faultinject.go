@@ -413,9 +413,11 @@ func ModuleMap(n *netlist.Netlist, rep *Report) []ModuleVuln {
 		}
 		return m
 	}
+	modOf := make([]string, len(n.Gates))
 	for name, gates := range n.GatesByModule() {
 		sites := 0
 		for _, id := range gates {
+			modOf[id] = name
 			if k := n.Gates[id].Kind; !k.IsSeq() && k.NumInputs() > 0 {
 				sites++
 			}
@@ -425,7 +427,7 @@ func ModuleMap(n *netlist.Netlist, rep *Report) []ModuleVuln {
 		}
 	}
 	for _, res := range rep.Results {
-		m := row(moduleOfTop(n, res.Fault.Gate))
+		m := row(modOf[res.Fault.Gate])
 		m.Injected++
 		switch res.Outcome {
 		case Masked:
@@ -446,22 +448,6 @@ func ModuleMap(n *netlist.Netlist, rep *Report) []ModuleVuln {
 		out[i] = *byMod[name]
 	}
 	return out
-}
-
-// moduleOfTop maps a gate to its top-level module name with the same
-// convention as netlist.GatesByModule: the first path component, or
-// "glue" for the root module.
-func moduleOfTop(n *netlist.Netlist, id netlist.GateID) string {
-	path := n.ModuleOf(id)
-	if path == "" {
-		return "glue"
-	}
-	for i := 0; i < len(path); i++ {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return path
 }
 
 // Campaign runs an explicit fault list against the design: it

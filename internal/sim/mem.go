@@ -133,35 +133,29 @@ func (r *RAM) Reset(*Sim) {
 	}
 }
 
-// ramState is RAM's BlockState.
-type ramState struct{ words []logic.Word }
+// RAMState is a captured copy of a RAM's contents that the symbolic
+// engine can compare and merge conservatively.
+type RAMState struct{ words []logic.Word }
 
-// Snapshot implements Block.
-func (r *RAM) Snapshot() BlockState {
-	return &ramState{words: append([]logic.Word(nil), r.words...)}
-}
-
-// SnapshotInto implements SnapshotterInto: it reuses the storage of a
-// recycled snapshot when its shape matches, avoiding the dominant
-// allocation of the symbolic engine's state-capture path.
-func (r *RAM) SnapshotInto(recycled BlockState) BlockState {
-	rs, ok := recycled.(*ramState)
-	if !ok || len(rs.words) != len(r.words) {
-		return r.Snapshot()
+// Snapshot captures the RAM's contents. It reuses the storage of
+// recycled, a state the caller no longer references, when its size
+// matches, avoiding the dominant allocation of the symbolic engine's
+// state-capture path; a nil recycled allocates.
+func (r *RAM) Snapshot(recycled *RAMState) *RAMState {
+	if recycled == nil || len(recycled.words) != len(r.words) {
+		return &RAMState{words: append([]logic.Word(nil), r.words...)}
 	}
-	copy(rs.words, r.words)
-	return rs
+	copy(recycled.words, r.words)
+	return recycled
 }
 
-// Restore implements Block.
-func (r *RAM) Restore(st BlockState) {
-	rs := st.(*ramState)
-	copy(r.words, rs.words)
+// Restore reinstates a previously captured state.
+func (r *RAM) Restore(st *RAMState) {
+	copy(r.words, st.words)
 }
 
-// Covers implements BlockState.
-func (a *ramState) Covers(o BlockState) bool {
-	b := o.(*ramState)
+// Covers reports whether this state is at least as conservative as b.
+func (a *RAMState) Covers(b *RAMState) bool {
 	for i := range a.words {
 		if !a.words[i].Covers(b.words[i]) {
 			return false
@@ -170,14 +164,13 @@ func (a *ramState) Covers(o BlockState) bool {
 	return true
 }
 
-// Merge implements BlockState.
-func (a *ramState) Merge(o BlockState) BlockState {
-	b := o.(*ramState)
+// Merge returns the most conservative state covering both.
+func (a *RAMState) Merge(b *RAMState) *RAMState {
 	out := make([]logic.Word, len(a.words))
 	for i := range out {
 		out[i] = a.words[i].Merge(b.words[i])
 	}
-	return &ramState{words: out}
+	return &RAMState{words: out}
 }
 
 // CloneEmpty returns a RAM bound to the same pins with fresh (all-X)
@@ -269,18 +262,3 @@ func (r *ROM) Clock(*Sim) {}
 
 // Reset implements Block (contents persist: mask ROM).
 func (r *ROM) Reset(*Sim) {}
-
-// romState is an empty immutable state.
-type romState struct{}
-
-// Covers implements BlockState.
-func (romState) Covers(BlockState) bool { return true }
-
-// Merge implements BlockState.
-func (r romState) Merge(BlockState) BlockState { return r }
-
-// Snapshot implements Block.
-func (r *ROM) Snapshot() BlockState { return romState{} }
-
-// Restore implements Block.
-func (r *ROM) Restore(BlockState) {}

@@ -42,27 +42,6 @@ type Block interface {
 	Clock(s *Sim)
 	// Reset restores power-on state.
 	Reset(s *Sim)
-	// Snapshot captures the block's architectural state.
-	Snapshot() BlockState
-	// Restore reinstates a previously captured state.
-	Restore(BlockState)
-}
-
-// BlockState is an opaque, immutable snapshot of a block's state that the
-// symbolic engine can compare and merge conservatively.
-type BlockState interface {
-	// Covers reports whether this state is at least as conservative as o.
-	Covers(o BlockState) bool
-	// Merge returns the most conservative state covering both.
-	Merge(o BlockState) BlockState
-}
-
-// SnapshotterInto is an optional Block extension: SnapshotInto behaves
-// like Snapshot but may reuse the storage of a previously captured state
-// that the caller guarantees is no longer referenced. The symbolic engine
-// uses it to recycle snapshot buffers and cut GC churn.
-type SnapshotterInto interface {
-	SnapshotInto(recycled BlockState) BlockState
 }
 
 // evalStride is the row width of the kind-indexed truth table. An index

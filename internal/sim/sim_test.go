@@ -361,17 +361,16 @@ func TestRAMStateCoversMerge(t *testing.T) {
 	r := NewRAM(make([]netlist.GateID, 2), nil, nil, 0, 0, 0)
 	r.SetWord(0, logic.KnownWord(5))
 	r.SetWord(1, logic.KnownWord(9))
-	a := r.Snapshot()
+	a := r.Snapshot(nil)
 	r.SetWord(1, logic.KnownWord(8))
-	bst := r.Snapshot()
+	bst := r.Snapshot(nil)
 	if a.Covers(bst) {
 		t.Error("different states cover")
 	}
-	m := a.Merge(bst)
-	if !m.Covers(a) || !m.Covers(bst) {
+	ms := a.Merge(bst)
+	if !ms.Covers(a) || !ms.Covers(bst) {
 		t.Error("merge does not cover operands")
 	}
-	ms := m.(*ramState)
 	if ms.words[0] != logic.KnownWord(5) {
 		t.Error("merge disturbed agreeing word")
 	}

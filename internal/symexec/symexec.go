@@ -178,10 +178,10 @@ func (r *Result) UntoggledCount(n *netlist.Netlist) int {
 	return c
 }
 
-// snapshot is one captured machine state (flip-flops plus memory macros).
+// snapshot is one captured machine state (flip-flops plus data RAM).
 type snapshot struct {
 	dffs []logic.V
-	ram  sim.BlockState
+	ram  *sim.RAMState
 }
 
 func (a *snapshot) covers(b *snapshot) bool {
@@ -412,20 +412,20 @@ func newAnalyzer(ctx context.Context, core *cpu.Core, opts Options) (*analyzer, 
 	return a, nil
 }
 
+// capture snapshots the machine into a recycled snapshot when the
+// free-list has one. The ROM needs no snapshot: its contents never
+// change.
 func (a *analyzer) capture() *snapshot {
+	var sn *snapshot
 	if n := len(a.free); n > 0 {
-		sn := a.free[n-1]
+		sn = a.free[n-1]
 		a.free = a.free[:n-1]
-		sn.dffs = a.s.DffSnapshotInto(sn.dffs)
-		if si, ok := a.s.Blocks()[1].(sim.SnapshotterInto); ok {
-			sn.ram = si.SnapshotInto(sn.ram)
-		} else {
-			sn.ram = a.s.Blocks()[1].Snapshot()
-		}
-		return sn
+	} else {
+		sn = &snapshot{}
 	}
-	ram := a.s.Blocks()[1].Snapshot() // blocks are (ROM, RAM)
-	return &snapshot{dffs: a.s.DffSnapshot(), ram: ram}
+	sn.dffs = a.s.DffSnapshotInto(sn.dffs)
+	sn.ram = a.core.RAM.Snapshot(sn.ram)
+	return sn
 }
 
 // recycle returns an exclusively-owned snapshot's buffers to the
@@ -438,7 +438,7 @@ func (a *analyzer) recycle(sn *snapshot) {
 
 func (a *analyzer) restore(sn *snapshot) {
 	a.s.RestoreDffs(sn.dffs)
-	a.s.Blocks()[1].Restore(sn.ram)
+	a.core.RAM.Restore(sn.ram)
 	a.s.Settle()
 }
 
