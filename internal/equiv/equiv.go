@@ -383,17 +383,12 @@ func ProveClaims(ctx context.Context, env *Env, opts Options) (*Report, error) {
 			return nil, err
 		}
 		for _, ci := range residue {
-			if perr = ctx.Err(); perr != nil {
+			if perr = ctx.Err(); perr == nil {
+				perr = p.decide(ctx, rep, ci)
+			}
+			if perr != nil {
 				break
 			}
-			var o outcome
-			if o, perr = p.decide(ctx, ci); perr != nil {
-				break
-			}
-			cr := &rep.Results[ci]
-			cr.Verdict, cr.Counterexample, cr.Used, cr.K = o.verdict, o.cex, o.used, o.k
-			rep.SATQueries += o.queries
-			rep.Conflicts += o.conflicts
 		}
 	}
 
@@ -587,18 +582,6 @@ func encodeEnv(f *Frame, env *Env) {
 	encodeDomains(f, env.Domains)
 }
 
-// outcome is one phase-3 claim decision.
-type outcome struct {
-	verdict Verdict
-	cex     *Counterexample
-	used    []int32
-	k       int
-	queries int64
-	// conflicts is the solver's conflict count spent on this claim's
-	// queries.
-	conflicts int64
-}
-
 // prover is the solver instance for phase-3 queries.
 type prover struct {
 	env      *Env
@@ -676,11 +659,14 @@ func (p *prover) provenance() (used []int32, k int) {
 	return used, k
 }
 
-// decide runs the violation/support query pair for claim index ci.
-func (p *prover) decide(ctx context.Context, ci int) (o outcome, err error) {
+// decide runs the violation/support query pair for claim index ci and
+// records its verdict, and the queries and conflicts it spent, in rep.
+// An error leaves the claim Unproved.
+func (p *prover) decide(ctx context.Context, rep *Report, ci int) error {
 	start := p.s.Stats().Conflicts
-	defer func() { o.conflicts = p.s.Stats().Conflicts - start }()
-	c := p.env.Claims[ci]
+	defer func() { rep.Conflicts += p.s.Stats().Conflicts - start }()
+	cr := &rep.Results[ci]
+	c := cr.Claim
 	t := targetNet(p.env.N, c)
 	base := append(p.assume[:0], p.invSel...)
 	for _, i := range p.combIdx {
@@ -692,36 +678,35 @@ func (p *prover) decide(ctx context.Context, ci int) (o outcome, err error) {
 
 	// Query A: can the target net take the opposite value?
 	p.s.SetBudget(p.budget)
+	rep.SATQueries++
 	st, err := p.s.Solve(ctx, append(base, p.f.Lit(t, logic.Not(c.Val)))...)
-	if err != nil {
-		return outcome{verdict: Unproved, queries: 1}, err
+	switch {
+	case err != nil:
+		return err
+	case st == sat.Unsat:
+		cr.Verdict = ProvedSAT
+		cr.Used, cr.K = p.provenance()
+		return nil
+	case st == sat.Unknown:
+		cr.Verdict = Assumed
+		return nil
 	}
-	switch st {
-	case sat.Unsat:
-		used, k := p.provenance()
-		return outcome{verdict: ProvedSAT, used: used, k: k, queries: 1}, nil
-	case sat.Unknown:
-		return outcome{verdict: Assumed, queries: 1}, nil
-	}
-	cex := p.capture(c)
+	cex := captureModel(p.s, p.f, p.env, c)
 
 	// Query B: is the claimed value itself still consistent? If not, the
 	// claim contradicts the environment plus the other claims — a hard
 	// refutation, with A's witness as the stimulus.
 	p.s.SetBudget(p.budget)
+	rep.SATQueries++
 	st, err = p.s.Solve(ctx, append(base, p.f.Lit(t, c.Val))...)
 	if err != nil {
-		return outcome{verdict: Unproved, queries: 2}, err
+		return err
 	}
+	cr.Verdict = Assumed
 	if st == sat.Unsat {
-		return outcome{verdict: Refuted, cex: cex, queries: 2}, nil
+		cr.Verdict, cr.Counterexample = Refuted, cex
 	}
-	return outcome{verdict: Assumed, queries: 2}, nil
-}
-
-// capture projects the current model onto a Counterexample.
-func (p *prover) capture(c cut.Claim) *Counterexample {
-	return captureModel(p.s, p.f, p.env, c)
+	return nil
 }
 
 // captureModel builds a Counterexample from a satisfying model of f.
