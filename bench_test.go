@@ -296,7 +296,7 @@ func BenchmarkSymbolicAnalysis(b *testing.B) {
 	p := bench.ByName("binSearch").MustProg()
 	var cyc uint64
 	for i := 0; i < b.N; i++ {
-		res, _, err := symexec.Analyze(context.Background(), p, symexec.Options{})
+		res, _, err := core.Analyze(context.Background(), p, symexec.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func BenchmarkSymbolicAnalysis(b *testing.B) {
 // BenchmarkCutAndResynthesis measures the netlist transformation stages.
 func BenchmarkCutAndResynthesis(b *testing.B) {
 	p := bench.ByName("intAVG").MustProg()
-	res, c, err := symexec.Analyze(context.Background(), p, symexec.Options{})
+	res, c, err := core.Analyze(context.Background(), p, symexec.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func BenchmarkPlace(b *testing.B) {
 // induction spec, both from an analysis that records bus domains.
 func multProof() (*equiv.Env, *induct.Spec, error) {
 	p := bench.ByName("mult").MustProg()
-	res, _, err := symexec.Analyze(context.Background(), p, symexec.Options{RecordDomains: true})
+	res, _, err := core.Analyze(context.Background(), p, symexec.Options{RecordDomains: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -463,7 +463,7 @@ func BenchmarkAblation_MergeThreshold(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var untog float64
 			for i := 0; i < b.N; i++ {
-				res, c, err := symexec.Analyze(context.Background(), p, symexec.Options{MergeThreshold: th})
+				res, c, err := core.Analyze(context.Background(), p, symexec.Options{MergeThreshold: th})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -478,7 +478,7 @@ func BenchmarkAblation_MergeThreshold(b *testing.B) {
 // contribution ("toggled gates left with floating outputs ... removed").
 func BenchmarkAblation_NoResynthesis(b *testing.B) {
 	p := bench.ByName("intAVG").MustProg()
-	res, c, err := symexec.Analyze(context.Background(), p, symexec.Options{})
+	res, c, err := core.Analyze(context.Background(), p, symexec.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func BenchmarkAblation_XPropagation(b *testing.B) {
 	})
 	b.Run("symbolic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := symexec.Analyze(context.Background(), p, symexec.Options{}); err != nil {
+			if _, _, err := core.Analyze(context.Background(), p, symexec.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"bespoke/internal/bench"
+	"bespoke/internal/core"
 	"bespoke/internal/symexec"
 )
 
@@ -24,16 +25,16 @@ func main() {
 		}
 	}
 
-	ra, core, err := symexec.Analyze(context.Background(), a.MustProg(), symexec.Options{})
+	ra, ca, err := core.Analyze(context.Background(), a.MustProg(), symexec.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rb, _, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+	rb, _, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	byMod := core.N.GatesByModule()
+	byMod := ca.N.GatesByModule()
 	mods := make([]string, 0, len(byMod))
 	for m := range byMod {
 		mods = append(mods, m)

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	b := bench.ByName("rle")
-	app, appCore, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+	app, appCore, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

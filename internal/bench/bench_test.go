@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"bespoke/internal/core"
 	"bespoke/internal/symexec"
 )
 
@@ -218,7 +219,7 @@ func TestSymbolicAnalysisAllBenchmarks(t *testing.T) {
 	for _, b := range append(All(), ScrambledIntFilt(), Subneg()) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res, c, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+			res, c, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +266,7 @@ func TestExtras(t *testing.T) {
 					t.Fatalf("out[%d]: gate %#x isa %#x", i, tr.Out[i], m.Out[i])
 				}
 			}
-			res, c, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+			res, c, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -324,11 +324,11 @@ func Prove(ctx context.Context, progs []*asm.Program, opts Options) (proofs []Pr
 	stage := "init"
 	defer guard(&stage, &err)
 	opts.Prove = true
-	baseline, union, err := analyze(ctx, progs, &opts, &stage)
+	union, cores, err := analyze(ctx, progs, &opts, &stage)
 	if err != nil {
 		return nil, err
 	}
-	d, err := derive(ctx, baseline, union, progs, opts, false, &stage)
+	d, err := derive(ctx, cores, union, opts, false, &stage)
 	if err != nil {
 		return nil, err
 	}
@@ -338,10 +338,11 @@ func Prove(ctx context.Context, progs []*asm.Program, opts Options) (proofs []Pr
 func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Options, coarse bool) (res *Result, err error) {
 	stage := "init"
 	defer guard(&stage, &err)
-	baseline, union, err := analyze(ctx, progs, &opts, &stage)
+	union, cores, err := analyze(ctx, progs, &opts, &stage)
 	if err != nil {
 		return nil, err
 	}
+	baseline := cores[0]
 	lib := cells.TSMC65()
 
 	// Baseline signoff. The clock is set so the baseline just meets
@@ -360,7 +361,7 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 		return nil, stageErr(stage, netlist.None, fmt.Errorf("baseline workload: %w", err))
 	}
 
-	d, err := derive(ctx, baseline, union, progs, opts, coarse, &stage)
+	d, err := derive(ctx, cores, union, opts, coarse, &stage)
 	if err != nil {
 		return nil, err
 	}
@@ -404,9 +405,11 @@ func tailor(ctx context.Context, progs []*asm.Program, ws []*Workload, opts Opti
 
 // analyze validates the programs, normalizes opts (Induct implies Prove,
 // and Prove records the bus domains the prover needs) and runs the union
-// analysis. It returns the baseline core loaded with the first program.
+// analysis. It also returns the core each program was analyzed on, in
+// program order: the flow signs off, cuts and proves these cores
+// (program 0's is the baseline), so every target is elaborated once.
 // *stage tracks the running stage for the caller's panic guard.
-func analyze(ctx context.Context, progs []*asm.Program, opts *Options, stage *string) (*cpu.Core, *symexec.Result, error) {
+func analyze(ctx context.Context, progs []*asm.Program, opts *Options, stage *string) (*symexec.Result, []*cpu.Core, error) {
 	if len(progs) == 0 {
 		return nil, nil, stageErr(*stage, netlist.None, fmt.Errorf("core: no programs"))
 	}
@@ -422,22 +425,15 @@ func analyze(ctx context.Context, progs []*asm.Program, opts *Options, stage *st
 		opts.Sym.RecordDomains = true
 	}
 
-	// Gate IDs align across builds (elaboration is deterministic), so
-	// the union analysis indexes the baseline's gates.
-	baseline := cpu.Build()
-	if err := baseline.LoadProgram(progs[0].Bytes, progs[0].Origin); err != nil {
-		return nil, nil, stageErr(*stage, netlist.None, err)
-	}
-
 	*stage = "analysis"
-	union, err := UnionAnalysis(ctx, progs, opts.Sym)
+	union, cores, err := unionAnalysis(ctx, progs, opts.Sym)
 	if err != nil {
-		return nil, nil, stageErr(*stage, netlist.None, err)
+		return nil, nil, err
 	}
 	if testHookAnalysis != nil {
 		testHookAnalysis(union)
 	}
-	return baseline, union, nil
+	return union, cores, nil
 }
 
 // derived is the bespoke design the flow derives from the baseline,
@@ -451,13 +447,14 @@ type derived struct {
 	proofs []ProofResult
 }
 
-// derive cuts and re-synthesizes a clone of the baseline per the union
-// analysis (widened to whole modules when coarse), then holds it to the
-// lint gate and, with opts.Prove, to the formal gate. *stage tracks the
-// running stage for the caller's panic guard.
-func derive(ctx context.Context, baseline *cpu.Core, union *symexec.Result, progs []*asm.Program, opts Options, coarse bool, stage *string) (*derived, error) {
+// derive cuts and re-synthesizes a clone of the baseline (cores[0]) per
+// the union analysis (widened to whole modules when coarse), then holds
+// it to the lint gate and, with opts.Prove, to the formal gate against
+// every program's core. *stage tracks the running stage for the caller's
+// panic guard.
+func derive(ctx context.Context, cores []*cpu.Core, union *symexec.Result, opts Options, coarse bool, stage *string) (*derived, error) {
 	*stage = "cut"
-	d := &derived{core: baseline.Clone()}
+	d := &derived{core: cores[0].Clone()}
 	toggled := union.Toggled
 	if coarse {
 		toggled = coarsen(d.core.N, toggled)
@@ -493,7 +490,7 @@ func derive(ctx context.Context, baseline *cpu.Core, union *symexec.Result, prog
 	// the transformation before spending any signoff effort.
 	if opts.Prove {
 		*stage = "prove"
-		d.proofs, err = proveGate(ctx, d.core, progs, union, opts)
+		d.proofs, err = proveGate(ctx, d.core, cores, union, opts)
 		if err != nil {
 			gate := netlist.None
 			var pe *equiv.ProofError
@@ -540,29 +537,37 @@ func wsAt(ws []*Workload, i int) *Workload {
 // shared worker pool; the union is merged sequentially in program order,
 // so the result is deterministic. Every error, a recovered panic from a
 // malformed program included, is a *FlowError in the "analysis" stage.
-func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Options) (union *symexec.Result, err error) {
+func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Options) (*symexec.Result, error) {
+	union, _, err := unionAnalysis(ctx, progs, opts)
+	return union, err
+}
+
+// unionAnalysis is UnionAnalysis that also returns the core each program
+// was analyzed on, in program order.
+func unionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Options) (union *symexec.Result, cores []*cpu.Core, err error) {
 	stage := "analysis"
 	defer guard(&stage, &err)
 	if len(progs) == 0 {
-		return nil, stageErr(stage, netlist.None, fmt.Errorf("core: no programs"))
+		return nil, nil, stageErr(stage, netlist.None, fmt.Errorf("core: no programs"))
 	}
 	analyses := make([]*symexec.Result, len(progs))
+	cores = make([]*cpu.Core, len(progs))
 	perr := parallel.ForEach(ctx, 0, len(progs), func(i int) error {
-		res, _, err := Analyze(ctx, progs[i], opts)
+		res, c, err := Analyze(ctx, progs[i], opts)
 		if err != nil {
 			return err
 		}
-		analyses[i] = res
+		analyses[i], cores[i] = res, c
 		return nil
 	})
 	if perr != nil {
-		return nil, stageErr(stage, netlist.None, perr)
+		return nil, nil, stageErr(stage, netlist.None, perr)
 	}
 	union = analyses[0]
 	for _, res := range analyses[1:] {
 		union.Merge(res)
 	}
-	return union, nil
+	return union, cores, nil
 }
 
 // UpdateMissing is the paper's Section 3.5 in-field update test: it
@@ -572,7 +577,7 @@ func UnionAnalysis(ctx context.Context, progs []*asm.Program, opts symexec.Optio
 // gate order, with the core the update was analyzed on. The update is
 // supported iff nothing is missing.
 func UpdateMissing(ctx context.Context, base []*asm.Program, update *asm.Program, opts symexec.Options) ([]netlist.GateID, *cpu.Core, error) {
-	union, err := UnionAnalysis(ctx, base, opts)
+	union, _, err := unionAnalysis(ctx, base, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -583,15 +588,23 @@ func UpdateMissing(ctx context.Context, base []*asm.Program, update *asm.Program
 	return union.Missing(upd), c, nil
 }
 
-// Analyze runs symexec.Analyze under the flow's panic guard: a panic
-// from a malformed program is returned as a *FlowError in the "analysis"
-// stage, so a worker pool running many analyses loses one result instead
-// of the process. Analysis errors, context errors included, are returned
-// as symexec.Analyze returns them.
+// Analyze elaborates a core, loads p into its ROM and runs
+// symexec.Analyze on it; it is the one place a program's analysis builds
+// its core. It returns the analysis and the core it ran on. A program
+// image reaching outside ROM is an error. A panic from a malformed
+// program is returned as a *FlowError in the "analysis" stage, so a
+// worker pool running many analyses loses one result instead of the
+// process. Analysis errors, context errors included, are returned as
+// symexec.Analyze returns them.
 func Analyze(ctx context.Context, p *asm.Program, opts symexec.Options) (res *symexec.Result, c *cpu.Core, err error) {
 	stage := "analysis"
 	defer guard(&stage, &err)
-	return symexec.Analyze(ctx, p, opts)
+	built := cpu.Build()
+	if err := built.LoadProgram(p.Bytes, p.Origin); err != nil {
+		return nil, nil, err
+	}
+	res, err = symexec.Analyze(ctx, built, opts)
+	return res, built, err
 }
 
 // coarsen widens a gate-level toggled map to module granularity: a module

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"bespoke/internal/asm"
 	"bespoke/internal/cpu"
 	"bespoke/internal/equiv"
 	"bespoke/internal/induct"
@@ -53,24 +52,18 @@ type InductSummary struct {
 var ErrNotEquivalent = errors.New("bespoke netlist is not equivalent to the baseline")
 
 // proveGate discharges the flow's formal obligations: for every target
-// program, prove each cut constant implied by the proof environment (or
-// record it as assumed), and prove the cut+re-synthesized netlist
+// program, on the core its analysis ran on (bases[i] holds program i's
+// ROM image), prove each cut constant implied by the proof environment
+// (or record it as assumed), and prove the cut+re-synthesized netlist
 // miter-equivalent to the baseline modulo the assumed claims.
 //
 // A refuted claim aborts with a *equiv.ProofError. Before returning it,
 // the counterexample stimulus is replayed in gate-level cosimulation on
 // both designs — the divergence is attached as the regression input that
 // exhibits the bug dynamically.
-func proveGate(ctx context.Context, bespoke *cpu.Core, progs []*asm.Program, union *symexec.Result, opts Options) ([]ProofResult, error) {
-	out := make([]ProofResult, 0, len(progs))
-	for pi, p := range progs {
-		// A fresh build per program: elaboration is deterministic, so
-		// gate IDs align with the union analysis; only the ROM image
-		// differs.
-		base := cpu.Build()
-		if err := base.LoadProgram(p.Bytes, p.Origin); err != nil {
-			return nil, fmt.Errorf("program %d: %w", pi, err)
-		}
+func proveGate(ctx context.Context, bespoke *cpu.Core, bases []*cpu.Core, union *symexec.Result, opts Options) ([]ProofResult, error) {
+	out := make([]ProofResult, 0, len(bases))
+	for pi, base := range bases {
 		env, err := equiv.NewCoreEnv(base, union)
 		if err != nil {
 			return nil, fmt.Errorf("program %d: %w", pi, err)

@@ -17,6 +17,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"bespoke/internal/builder"
 	"bespoke/internal/msp430"
 	"bespoke/internal/netlist"
@@ -125,6 +127,24 @@ func (c *Core) ObservedGates() []netlist.GateID {
 	keep = append(keep, c.MdbOut...)
 	keep = append(keep, c.CPUEn, c.PerWrAny, c.IrqTake)
 	return keep
+}
+
+// Buses returns the core's named flip-flop buses in one fixed order:
+// r0..r15, state, ir, ie, ifg, then Micro. The analysis records a value
+// set per bus and the induction engine draws its candidates from those
+// sets by bus name, so both iterate this one list.
+func (c *Core) Buses() []NamedBus {
+	buses := make([]NamedBus, 0, len(c.Regs)+4+len(c.Micro))
+	for i, r := range c.Regs {
+		buses = append(buses, NamedBus{Name: fmt.Sprintf("r%d", i), Bits: r})
+	}
+	buses = append(buses,
+		NamedBus{Name: "state", Bits: c.State},
+		NamedBus{Name: "ir", Bits: c.IRReg},
+		NamedBus{Name: "ie", Bits: c.IEReg},
+		NamedBus{Name: "ifg", Bits: c.IFReg},
+	)
+	return append(buses, c.Micro...)
 }
 
 // PC returns the program counter flip-flop nets.

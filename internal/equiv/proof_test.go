@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bespoke/internal/bench"
+	"bespoke/internal/core"
 	"bespoke/internal/cpu"
 	"bespoke/internal/cut"
 	"bespoke/internal/equiv"
@@ -26,7 +27,7 @@ func analyzeBench(t *testing.T, name string) (*equiv.Env, *symexec.Result, *cpu.
 	if b == nil {
 		t.Fatalf("unknown benchmark %s", name)
 	}
-	res, c, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{RecordDomains: true})
+	res, c, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{RecordDomains: true})
 	if err != nil {
 		t.Fatalf("analyze %s: %v", name, err)
 	}

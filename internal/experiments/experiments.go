@@ -71,21 +71,19 @@ func Profile(b *bench.Benchmark, seeds int) (*ProfileResult, error) {
 	cells := c.N.CellCount()
 
 	res := &ProfileResult{Bench: b.Name, Min: 1}
-	// Per-seed runs mutate the core's memories, so every worker owns a
+	// Per-seed runs mutate the core's memories, so every seed runs on a
 	// private clone (gate IDs are preserved; the harness reinitializes
 	// all state per run); traces are merged sequentially afterwards.
 	traces := make([]*core.RunTrace, seeds)
-	err := parallel.ForEachState(context.Background(), 0, seeds,
-		func(int) *cpu.Core { return c.Clone() },
-		func(clone *cpu.Core, i int) error {
-			s := i + 1
-			tr, err := core.RunWorkload(context.Background(), clone, p, b.Workload(uint64(s)))
-			if err != nil {
-				return fmt.Errorf("%s seed %d: %w", b.Name, s, err)
-			}
-			traces[i] = tr
-			return nil
-		})
+	err := parallel.ForEach(context.Background(), 0, seeds, func(i int) error {
+		s := i + 1
+		tr, err := core.RunWorkload(context.Background(), c.Clone(), p, b.Workload(uint64(s)))
+		if err != nil {
+			return fmt.Errorf("%s seed %d: %w", b.Name, s, err)
+		}
+		traces[i] = tr
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -159,11 +157,11 @@ type DieRow struct {
 // DieCompare computes the Figure 3/4 die comparison between two
 // applications using the input-independent analysis.
 func DieCompare(a, b *bench.Benchmark) ([]DieRow, error) {
-	ra, ca, err := symexec.Analyze(context.Background(), a.MustProg(), symexec.Options{})
+	ra, ca, err := core.Analyze(context.Background(), a.MustProg(), symexec.Options{})
 	if err != nil {
 		return nil, err
 	}
-	rb, _, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+	rb, _, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +229,7 @@ func Fig10(w io.Writer, quick bool) ([]UsableRow, error) {
 	fmt.Fprintln(w, "\nFigure 10: Fraction of gates toggleable for any input (by module)")
 	err := parallel.ForEach(context.Background(), 0, len(benches), func(i int) error {
 		b := benches[i]
-		res, c, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+		res, c, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
@@ -275,7 +273,7 @@ func analyzeSuite(ctx context.Context, benches []*bench.Benchmark) ([]*symexec.R
 	analyses := make([]*symexec.Result, len(benches))
 	var gates int32
 	err := parallel.ForEach(ctx, 0, len(benches), func(i int) error {
-		res, c, err := symexec.Analyze(ctx, benches[i].MustProg(), symexec.Options{})
+		res, c, err := core.Analyze(ctx, benches[i].MustProg(), symexec.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", benches[i].Name, err)
 		}

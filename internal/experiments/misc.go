@@ -110,7 +110,7 @@ func RunMutants(w io.Writer, quick bool) ([]MutantStudy, error) {
 		return report.Pct(float64(sup) / float64(tot))
 	}
 	for _, b := range MutantBenches(quick) {
-		app, appCore, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+		app, appCore, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
@@ -216,7 +216,7 @@ func RunRTOS(w io.Writer) ([]RTOSStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, ccore, err := symexec.Analyze(context.Background(), p, symexec.Options{})
+		res, ccore, err := core.Analyze(context.Background(), p, symexec.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}

@@ -22,9 +22,9 @@ import (
 
 // scalarCampaign is the one-run-per-fault oracle the bit-parallel engine
 // is checked against: every fault runs alone on the scalar simulator
-// (internal/sim) through injectOne, each worker owning a private clone
-// of the design, and the outcomes fold into a report exactly as
-// runCampaign folds the batched ones.
+// (internal/sim) through injectOne, each on a private clone of the
+// design, and the outcomes fold into a report exactly as runCampaign
+// folds the batched ones.
 func scalarCampaign(t *testing.T, c *cpu.Core, prog *asm.Program, w *core.Workload, faults []Fault, opts Options) *Report {
 	t.Helper()
 	ctx := context.Background()
@@ -33,16 +33,14 @@ func scalarCampaign(t *testing.T, c *cpu.Core, prog *asm.Program, w *core.Worklo
 		t.Fatal(err)
 	}
 	outcomes := make([]*Result, len(faults))
-	err = parallel.ForEachState(ctx, opts.Workers, len(faults),
-		func(int) *cpu.Core { return c.Clone() },
-		func(clone *cpu.Core, i int) error {
-			res, err := injectOne(ctx, clone, prog, w, g, faults[i])
-			if err != nil {
-				return err
-			}
-			outcomes[i] = &res
-			return nil
-		})
+	err = parallel.ForEach(ctx, opts.Workers, len(faults), func(i int) error {
+		res, err := injectOne(ctx, c.Clone(), prog, w, g, faults[i])
+		if err != nil {
+			return err
+		}
+		outcomes[i] = &res
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("scalar oracle: %v", err)
 	}

@@ -39,7 +39,7 @@ func multSetup(t *testing.T) (*symexec.Result, *asm.Program, *core.Workload) {
 			return
 		}
 		multOnce.w = b.Workload(1)
-		multOnce.res, _, multOnce.err = symexec.Analyze(context.Background(), multOnce.prog, symexec.Options{})
+		multOnce.res, _, multOnce.err = core.Analyze(context.Background(), multOnce.prog, symexec.Options{})
 	})
 	if multOnce.err != nil {
 		t.Fatalf("mult setup: %v", multOnce.err)
@@ -361,7 +361,7 @@ func TestSETCampaignMidCancelLeaksNothing(t *testing.T) {
 		t.Fatal("campaign did not return within 10s of cancellation")
 	}
 
-	// The pool tears down asynchronously after ForEachState returns;
+	// The pool tears down asynchronously after ForEach returns;
 	// poll briefly for the goroutine count to drop back.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

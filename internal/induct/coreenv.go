@@ -1,8 +1,6 @@
 package induct
 
 import (
-	"fmt"
-
 	"bespoke/internal/cpu"
 	"bespoke/internal/equiv"
 	"bespoke/internal/logic"
@@ -25,22 +23,14 @@ const DefaultSampleCycles = 512
 func NewCoreSpec(c *cpu.Core, res *symexec.Result, sampleCycles int) (*Spec, error) {
 	spec := &Spec{N: c.N}
 	spec.ROM, spec.RAM = equiv.CoreMemSpecs(c)
-	for i := range c.Regs {
-		spec.Buses = append(spec.Buses, Bus{Name: fmt.Sprintf("r%d", i), Bits: c.Regs[i]})
-	}
-	spec.Buses = append(spec.Buses,
-		Bus{Name: "state", Bits: c.State, Control: true},
-		Bus{Name: "ir", Bits: c.IRReg, Control: true},
-		Bus{Name: "ie", Bits: c.IEReg},
-		Bus{Name: "ifg", Bits: c.IFReg},
-	)
-	// The microarchitectural latches matter as much as the architectural
-	// ones: a claim cone that reads, say, the extension-word register is
-	// only inductive if something pins that register, and the recorded
-	// domains for wide data latches (srcv, res, ...) simply come back
-	// Exceeded and contribute nothing.
-	for _, mb := range c.Micro {
-		spec.Buses = append(spec.Buses, Bus{Name: mb.Name, Bits: mb.Bits})
+	// The microarchitectural latches (cpu.Core.Micro) matter as much as
+	// the architectural ones: a claim cone that reads, say, the
+	// extension-word register is only inductive if something pins that
+	// register, and the recorded domains for wide data latches (srcv,
+	// res, ...) simply come back Exceeded and contribute nothing.
+	for _, b := range c.Buses() {
+		control := b.Name == "state" || b.Name == "ir"
+		spec.Buses = append(spec.Buses, Bus{Name: b.Name, Bits: b.Bits, Control: control})
 	}
 	if res != nil {
 		spec.Seeds = res.BusDomains

@@ -9,10 +9,10 @@
 //
 // The engine is a registry of independent, individually-addressable
 // analyzers (see Analyzers). Each analyzer scans one class of structural
-// defect and emits structured Findings; Run fans the selected analyzers
-// out over the shared worker pool and returns the findings in a
-// deterministic order (registry order, then by gate, net and detail), so
-// reports diff cleanly and tests can assert exact outcomes.
+// defect and emits structured Findings; Run runs the selected analyzers
+// in registry order and returns the findings in a deterministic order
+// (registry order, then by gate, net and detail), so reports diff
+// cleanly and tests can assert exact outcomes.
 package lint
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"bespoke/internal/cells"
 	"bespoke/internal/netlist"
-	"bespoke/internal/parallel"
 )
 
 // Severity grades a finding.
@@ -91,8 +90,6 @@ type Config struct {
 	// count as roots for liveness (dead-logic) and as readers (unread-
 	// output), exactly like the re-synthesis pass treats them.
 	KeepAlive []netlist.GateID
-	// Workers bounds the fan-out parallelism; 0 uses GOMAXPROCS.
-	Workers int
 }
 
 // Report is the outcome of one lint run.
@@ -164,9 +161,9 @@ func Analyzers() []string {
 }
 
 // design is the immutable view shared by all analyzers of one run. The
-// fanout table is precomputed here (netlist.Fanout caches lazily and is
-// not safe to build concurrently) and out-of-range pins are excluded
-// from it, so analyzers index it without re-validating.
+// fanout table is built here, not taken from netlist.Fanout, which
+// indexes by pin: lint must accept malformed netlists, so out-of-range
+// pins are left out of it and analyzers index it without re-validating.
 type design struct {
 	n         *netlist.Netlist
 	fanout    [][]netlist.GateID
@@ -210,39 +207,32 @@ func newDesign(n *netlist.Netlist, cfg *Config) *design {
 	return d
 }
 
-// Run executes the selected analyzers over n and returns their combined
-// report. Analyzers are independent and fan out over the shared worker
-// pool; the report is assembled sequentially in registry order, so the
-// result is deterministic regardless of scheduling. The context cancels
-// the fan-out between analyzers.
+// Run executes the selected analyzers over n, one after another in
+// registry order, and returns their combined report. The context is
+// checked before each analyzer.
 func Run(ctx context.Context, n *netlist.Netlist, cfg Config) (*Report, error) {
 	selected, err := selectAnalyzers(cfg.Analyzers)
 	if err != nil {
 		return nil, err
 	}
 	d := newDesign(n, &cfg)
-	results := make([][]Finding, len(selected))
-	perr := parallel.ForEach(ctx, cfg.Workers, len(selected), func(i int) error {
-		fs := selected[i].run(d)
-		sort.Slice(fs, func(a, b int) bool {
-			if fs[a].Gate != fs[b].Gate {
-				return fs[a].Gate < fs[b].Gate
-			}
-			if fs[a].Net != fs[b].Net {
-				return fs[a].Net < fs[b].Net
-			}
-			return fs[a].Detail < fs[b].Detail
-		})
-		results[i] = fs
-		return nil
-	})
-	if perr != nil {
-		return nil, perr
-	}
 	rep := &Report{NumGates: n.CellCount()}
-	for i, a := range selected {
+	for _, a := range selected {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		fs := a.run(d)
+		sort.Slice(fs, func(i, j int) bool {
+			if fs[i].Gate != fs[j].Gate {
+				return fs[i].Gate < fs[j].Gate
+			}
+			if fs[i].Net != fs[j].Net {
+				return fs[i].Net < fs[j].Net
+			}
+			return fs[i].Detail < fs[j].Detail
+		})
 		rep.Ran = append(rep.Ran, a.name)
-		rep.Findings = append(rep.Findings, results[i]...)
+		rep.Findings = append(rep.Findings, fs...)
 	}
 	return rep, nil
 }

@@ -284,37 +284,6 @@ func TestSelection(t *testing.T) {
 	}
 }
 
-func TestDeterministicOrder(t *testing.T) {
-	// A netlist tripping several analyzers at once must produce the
-	// identical report at any parallelism.
-	n := netlist.New()
-	a := n.Add(netlist.Gate{Kind: netlist.Input, Name: "a"})
-	c0 := n.Add(netlist.Gate{Kind: netlist.Const0})
-	for i := 0; i < 8; i++ {
-		g := n.Add(netlist.Gate{Kind: netlist.And, In: [3]netlist.GateID{a, netlist.None}})
-		_ = g
-	}
-	n.Add(netlist.Gate{Kind: netlist.Not, In: [3]netlist.GateID{c0}})
-	n.Add(netlist.Gate{Kind: netlist.Dff, In: [3]netlist.GateID{a}, Reset: logic.X})
-	var base *Report
-	for _, workers := range []int{1, 2, 8} {
-		rep, err := Run(context.Background(), n, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base = rep
-			continue
-		}
-		if !reflect.DeepEqual(base.Findings, rep.Findings) {
-			t.Fatalf("workers=%d changed the report:\n%v\nvs\n%v", workers, rep.Findings, base.Findings)
-		}
-	}
-	if len(base.Findings) == 0 {
-		t.Fatal("fixture produced no findings")
-	}
-}
-
 func TestRunHonorsCancellation(t *testing.T) {
 	n := netlist.New()
 	n.Add(netlist.Gate{Kind: netlist.Input, Name: "a"})

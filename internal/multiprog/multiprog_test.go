@@ -19,7 +19,7 @@ func analyzeSome(t *testing.T, names []string) ([]*symexec.Result, int) {
 	gates := 0
 	for _, n := range names {
 		b := bench.ByName(n)
-		res, c, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+		res, c, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}

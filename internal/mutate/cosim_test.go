@@ -27,7 +27,7 @@ func appCut(t *testing.T, app *symexec.Result) *cpu.Core {
 // unsupported mutants are free to diverge.
 func TestCosimConfirmsStaticVerdicts(t *testing.T) {
 	b := bench.BinSearch()
-	app, _, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+	app, _, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCosimConfirmsStaticVerdicts(t *testing.T) {
 // silent no-op.
 func TestCosimNeedsDesign(t *testing.T) {
 	b := bench.BinSearch()
-	app, _, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+	app, _, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

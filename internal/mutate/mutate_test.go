@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bespoke/internal/bench"
+	"bespoke/internal/core"
 	"bespoke/internal/symexec"
 )
 
@@ -63,7 +64,7 @@ func TestBranchMutantsLargelySupported(t *testing.T) {
 	// no new gates and should be supported - the effect behind the
 	// paper's high Type I/III support rates in Table 5.
 	b := bench.BinSearch()
-	app, _, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+	app, _, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestCheckSupportMidCampaignCancellation(t *testing.T) {
 	// Cancelling the context mid-campaign must abort the parallel fan-out
 	// promptly with the context error rather than a per-mutant verdict.
 	b := bench.BinSearch()
-	app, _, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+	app, _, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestCheckSupportIntAVG(t *testing.T) {
 	// which the add-only application never exercises, so low support is
 	// expected; the checker must classify them without error.
 	b := bench.IntAVG()
-	app, _, err := symexec.Analyze(context.Background(), b.MustProg(), symexec.Options{})
+	app, _, err := core.Analyze(context.Background(), b.MustProg(), symexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

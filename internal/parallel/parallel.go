@@ -1,13 +1,11 @@
 // Package parallel is the flow's shared fan-out helper: a fixed worker
-// pool distributing the indices [0, n) over per-worker state, with
-// context cancellation and deterministic error selection.
+// pool distributing the indices [0, n), with context cancellation and
+// deterministic error selection.
 //
-// It generalizes the pattern the fault-injection engine proved: campaigns
-// over thousands of independent jobs where each worker owns a private
-// clone of the design (gate IDs are preserved by Clone, so per-index
-// results land in pre-sized slices and are aggregated sequentially by the
-// caller after the pool drains). That post-drain sequential aggregation
-// is what keeps parallel campaigns deterministic: workers never merge.
+// Per-index results land in pre-sized slices and are aggregated
+// sequentially by the caller after the pool drains. That post-drain
+// sequential aggregation is what keeps parallel campaigns deterministic:
+// workers never merge.
 package parallel
 
 import (
@@ -25,17 +23,6 @@ import (
 // indices; writes to results[i] made by f are visible to the caller once
 // ForEach returns.
 func ForEach(ctx context.Context, workers, n int, f func(i int) error) error {
-	return ForEachState(ctx, workers, n,
-		func(int) struct{} { return struct{}{} },
-		func(_ struct{}, i int) error { return f(i) })
-}
-
-// ForEachState is ForEach with per-worker state: newState(w) runs once
-// per worker, serially, before the pool starts — so constructors may read
-// shared structures (e.g. clone a base core with lazily cached netlist
-// tables) without synchronizing — and every call f(s, i) receives its
-// worker's private state.
-func ForEachState[S any](ctx context.Context, workers, n int, newState func(worker int) S, f func(s S, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -62,25 +49,21 @@ func ForEachState[S any](ctx context.Context, workers, n int, newState func(work
 		mu.Unlock()
 		stop.Store(true)
 	}
-	states := make([]S, workers)
-	for w := range states {
-		states[w] = newState(w)
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(st S) {
+		go func() {
 			defer wg.Done()
 			for !stop.Load() && ctx.Err() == nil {
 				i := int(next.Add(1))
 				if i >= n {
 					return
 				}
-				if err := f(st, i); err != nil {
+				if err := f(i); err != nil {
 					fail(i, err)
 					return
 				}
 			}
-		}(states[w])
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {

@@ -46,28 +46,6 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestForEachStatePerWorkerState(t *testing.T) {
-	// Each worker gets a private counter; the sum over workers must be n.
-	const n, workers = 500, 4
-	counters := make([]*int, 0, workers)
-	err := ForEachState(context.Background(), workers, n,
-		func(int) *int { c := new(int); counters = append(counters, c); return c },
-		func(c *int, i int) error { *c++; return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counters) != workers {
-		t.Fatalf("newState ran %d times, want %d", len(counters), workers)
-	}
-	sum := 0
-	for _, c := range counters {
-		sum += *c
-	}
-	if sum != n {
-		t.Fatalf("workers executed %d jobs total, want %d", sum, n)
-	}
-}
-
 func TestForEachMidCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int32

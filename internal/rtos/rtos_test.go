@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"bespoke/internal/core"
 	"bespoke/internal/isasim"
 	"bespoke/internal/symexec"
 )
@@ -105,7 +106,7 @@ func TestKernelSymbolicAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, c, err := symexec.Analyze(context.Background(), p, symexec.Options{})
+	res, c, err := core.Analyze(context.Background(), p, symexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ start:  mov #0x3FFF, &0x0800
 	}
 	// The run spins on the self-jump copied into RAM, which is not the
 	// ROM halt convention, so the cycle budget ends it.
-	_, _, err = Analyze(context.Background(), p, Options{MaxCycles: 2000})
+	_, _, err = analyzeProg(context.Background(), p, Options{MaxCycles: 2000})
 	if err == nil {
 		t.Fatal("a program spinning in RAM terminated the analysis")
 	}
@@ -45,7 +45,7 @@ start:  jmp start
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Analyze(context.Background(), p, Options{}); err == nil {
+	if _, _, err := analyzeProg(context.Background(), p, Options{}); err == nil {
 		t.Fatal("a program image below ROM was analyzed")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 
-	"bespoke/internal/asm"
 	"bespoke/internal/cpu"
 	"bespoke/internal/logic"
 	"bespoke/internal/msp430"
@@ -287,23 +286,18 @@ func (a *analyzer) recordDomains() {
 	}
 }
 
-// Analyze runs input-independent gate activity analysis of prog on a
-// freshly built core and returns the per-gate activity verdicts. A
-// program image reaching outside ROM is an error. The context bounds the
-// exploration: cancellation or a deadline aborts the analysis with a
-// *LimitError carrying partial-progress diagnostics.
-func Analyze(ctx context.Context, prog *asm.Program, opts Options) (*Result, *cpu.Core, error) {
-	core := cpu.Build()
-	if err := core.LoadProgram(prog.Bytes, prog.Origin); err != nil {
-		return nil, nil, err
-	}
-	res, err := AnalyzeOn(ctx, core, opts)
-	return res, core, err
-}
-
-// AnalyzeOn runs the analysis on an existing core whose ROM is already
-// loaded. The core's netlist is not modified.
-func AnalyzeOn(ctx context.Context, core *cpu.Core, opts Options) (*Result, error) {
+// Analyze runs input-independent gate activity analysis of the program
+// in core's ROM and returns the per-gate activity verdicts. The context
+// bounds the exploration: cancellation or a deadline aborts the analysis
+// with a *LimitError carrying partial-progress diagnostics.
+//
+// The analysis leaves the core's netlist and ROM as it found them; it
+// changes only the RAM contents, which its snapshots restore into. So a
+// caller may sign off, cut and prove the core the analysis ran on, as
+// long as every later reader resets or ignores the RAM, as they all do:
+// cpu.NewHarnessOn resets the machine, cpu.Core.Clone starts with an
+// empty RAM, and equiv.NewCoreEnv reads only ROM words and pins.
+func Analyze(ctx context.Context, core *cpu.Core, opts Options) (*Result, error) {
 	a, err := newAnalyzer(ctx, core, opts)
 	if err != nil {
 		return nil, err
@@ -363,22 +357,12 @@ func newAnalyzer(ctx context.Context, core *cpu.Core, opts Options) (*analyzer, 
 		sites: map[uint32]*site{},
 	}
 	if opts.RecordDomains {
-		add := func(name string, bits []netlist.GateID) {
+		for _, b := range core.Buses() {
 			a.domains = append(a.domains, &domainAcc{
-				name: name,
-				bits: append([]netlist.GateID(nil), bits...),
+				name: b.Name,
+				bits: append([]netlist.GateID(nil), b.Bits...),
 				seen: map[uint32]struct{}{},
 			})
-		}
-		for i := range core.Regs {
-			add(fmt.Sprintf("r%d", i), core.Regs[i])
-		}
-		add("state", core.State)
-		add("ir", core.IRReg)
-		add("ie", core.IEReg)
-		add("ifg", core.IFReg)
-		for _, mb := range core.Micro {
-			add(mb.Name, mb.Bits)
 		}
 	}
 	for _, bit := range core.PC() {

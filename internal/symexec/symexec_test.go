@@ -31,7 +31,7 @@ func analyze(t *testing.T, src string) (*Result, *asm.Program) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := Analyze(context.Background(), p, Options{})
+	res, _, err := analyzeProg(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +154,24 @@ func TestMultiplierActiveWhenUsed(t *testing.T) {
 	}
 }
 
+// analyzeProg elaborates a core, loads p and analyzes it, as
+// core.Analyze does (this package's tests cannot import core).
+func analyzeProg(ctx context.Context, p *asm.Program, opts Options) (*Result, *cpu.Core, error) {
+	c := cpu.Build()
+	if err := c.LoadProgram(p.Bytes, p.Origin); err != nil {
+		return nil, nil, err
+	}
+	res, err := Analyze(ctx, c, opts)
+	return res, c, err
+}
+
 func mustAnalyze(t *testing.T, src string) (*Result, *cpu.Core) {
 	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, core, err := Analyze(context.Background(), p, Options{})
+	res, core, err := analyzeProg(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +182,7 @@ func TestUntoggledGatesHaveConstants(t *testing.T) {
 	p := asm.MustAssemble(prologue + `
         mov #1, &OUTPORT
 ` + epilogue)
-	res, core, err := Analyze(context.Background(), p, Options{})
+	res, core, err := analyzeProg(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +245,7 @@ loop:   inc r4
         jz loop
         mov r4, &OUTPORT
 ` + epilogue)
-	res, _, err := Analyze(context.Background(), p, Options{MaxCycles: 6_000_000})
+	res, _, err := analyzeProg(context.Background(), p, Options{MaxCycles: 6_000_000})
 	if err != nil {
 		t.Fatalf("merge did not bound the exploration: %v", err)
 	}
@@ -245,7 +256,7 @@ func TestDbgModuleQuietWithoutDebugger(t *testing.T) {
 	p := asm.MustAssemble(prologue + `
         mov #9, &OUTPORT
 ` + epilogue)
-	res, core, err := Analyze(context.Background(), p, Options{})
+	res, core, err := analyzeProg(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +280,7 @@ func TestCycleBudgetExhaustion(t *testing.T) {
 count:  inc r4
         jmp count
 ` + epilogue)
-	_, _, err := Analyze(context.Background(), p, Options{MaxCycles: 200})
+	_, _, err := analyzeProg(context.Background(), p, Options{MaxCycles: 200})
 	if err == nil {
 		t.Fatal("analysis of a non-terminating counter succeeded under a 200-cycle budget")
 	}
@@ -299,7 +310,7 @@ func TestAnalyzeCancelled(t *testing.T) {
 ` + epilogue)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Analyze(ctx, p, Options{})
+	_, _, err := analyzeProg(ctx, p, Options{})
 	if err == nil {
 		t.Fatal("analysis succeeded under a cancelled context")
 	}
